@@ -49,41 +49,52 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint; a file that is truncated or does not follow the
+    layout raises :class:`DataError`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
     offset = 4
 
-    def take(fmt: str):
+    def take_bytes(size: int) -> bytes:
         nonlocal offset
-        size = struct.calcsize(fmt)
         if offset + size > len(blob):
             raise DataError(f"{path}: truncated checkpoint")
-        values = struct.unpack_from(fmt, blob, offset)
         offset += size
-        return values
+        return blob[offset - size:offset]
+
+    def take(fmt: str):
+        return struct.unpack(fmt, take_bytes(struct.calcsize(fmt)))
+
+    def take_text(size: int) -> str:
+        try:
+            return take_bytes(size).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: corrupt checkpoint text at byte {offset - size}: {exc}") from None
 
     (version,) = take("<I")
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     (meta_len,) = take("<I")
-    meta = json.loads(blob[offset:offset + meta_len].decode("utf-8"))
-    offset += meta_len
+    try:
+        meta = json.loads(take_text(meta_len))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: corrupt checkpoint metadata: {exc}") from None
+    if not (isinstance(meta, dict) and isinstance(meta.get("config"), dict)
+            and isinstance(meta.get("metrics"), dict)):
+        raise DataError(f"{path}: checkpoint metadata lacks its config and metrics objects")
     (count,) = take("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = take("<I")
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
+        name = take_text(name_len)
         (rank,) = take("<I")
         dims = take(f"<{rank}Q") if rank else ()
         n_elems = 1
         for d in dims:
             n_elems *= d
-        n_bytes = n_elems * 8
-        arr = np.frombuffer(blob[offset:offset + n_bytes], dtype="<f8").reshape(dims)
-        offset += n_bytes
-        tensors[name] = arr.astype(np.float64).copy()
+        payload = take_bytes(n_elems * 8)
+        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
     return Checkpoint(tensors=tensors, config=meta["config"], metrics=meta["metrics"],
                       version=version)

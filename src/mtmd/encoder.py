@@ -7,7 +7,8 @@ hidden state of the top layer is the stock's temporal embedding.
 The per-sequence recurrence runs as a single fused tape node
 (:func:`gru_sequence`) with a hand-written backward pass; :func:`gru_cell`
 is the same cell built from tape primitives and is cross-checked against
-the fused path in the tests.
+the fused path in the tests.  :func:`encode_rows` runs the same forward
+step off the tape, for scoring and export where no gradient is needed.
 """
 
 from __future__ import annotations
@@ -111,6 +112,38 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _forward_weights(layer: GruLayerParams):
+    """The layer's weights stacked for the forward step.
+
+    Returns the input-side matrix [3H, d_in] and bias [3H] (update, reset,
+    candidate; the two biases of each sigmoid gate summed), the recurrent
+    update and reset matrices fused to [2H, H], and the candidate's
+    recurrent matrix and bias.
+    """
+    w_x = np.concatenate([layer.update_x.data, layer.reset_x.data, layer.cand_x.data])
+    b_x = np.concatenate([layer.update_bx.data + layer.update_bh.data,
+                          layer.reset_bx.data + layer.reset_bh.data, layer.cand_bx.data])
+    u_zr = np.concatenate([layer.update_h.data, layer.reset_h.data])
+    return w_x, b_x, u_zr, layer.cand_h.data, layer.cand_bh.data
+
+
+def _gru_step(h: np.ndarray, xi: np.ndarray, u_zr: np.ndarray, uc: np.ndarray,
+              bch: np.ndarray):
+    """One forward step from state ``h`` [batch, H] and the step's input
+    projections ``xi`` [batch, 3H] (biases included).
+
+    Returns the next state and the update gate, reset gate, candidate and
+    candidate recurrent term that the backward pass reads.
+    """
+    hidden = h.shape[1]
+    hzr = h @ u_zr.T
+    z = _sigmoid(xi[:, :hidden] + hzr[:, :hidden])
+    r = _sigmoid(xi[:, hidden:2 * hidden] + hzr[:, hidden:])
+    hl = h @ uc.T + bch
+    c = np.tanh(xi[:, 2 * hidden:] + r * hl)
+    return (1.0 - z) * c + z * h, z, r, c, hl
+
+
 def gru_sequence(x_seq: Tensor, h0: Tensor, layer: GruLayerParams) -> Tensor:
     """Run one recurrence layer over a [steps, batch, d_in] sequence.
 
@@ -131,14 +164,10 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, layer: GruLayerParams) -> Tensor:
     wz, uz = layer.update_x.data, layer.update_h.data
     wr, ur = layer.reset_x.data, layer.reset_h.data
     wc, uc = layer.cand_x.data, layer.cand_h.data
-    bz = layer.update_bx.data + layer.update_bh.data
-    br = layer.reset_bx.data + layer.reset_bh.data
+    w_x, b_x, u_zr, _, bch = _forward_weights(layer)
 
     # input-side projections for the whole sequence in one shot
-    flat = x_seq.data.reshape(steps * batch, d_in)
-    zi = (flat @ wz.T).reshape(steps, batch, hidden) + bz
-    ri = (flat @ wr.T).reshape(steps, batch, hidden) + br
-    ci = (flat @ wc.T).reshape(steps, batch, hidden) + layer.cand_bx.data
+    xi = (x_seq.data.reshape(steps * batch, d_in) @ w_x.T).reshape(steps, batch, 3 * hidden) + b_x
 
     states = np.empty((steps + 1, batch, hidden))
     states[0] = h0.data
@@ -147,13 +176,8 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, layer: GruLayerParams) -> Tensor:
     cands = np.empty((steps, batch, hidden))
     cand_h_lin = np.empty((steps, batch, hidden))
     for t in range(steps):
-        h = states[t]
-        z = _sigmoid(zi[t] + h @ uz.T)
-        r = _sigmoid(ri[t] + h @ ur.T)
-        hl = h @ uc.T + layer.cand_bh.data
-        c = np.tanh(ci[t] + r * hl)
-        states[t + 1] = (1.0 - z) * c + z * h
-        zs[t], rs[t], cands[t], cand_h_lin[t] = z, r, c, hl
+        states[t + 1], zs[t], rs[t], cands[t], cand_h_lin[t] = _gru_step(
+            states[t], xi[t], u_zr, uc, bch)
 
     def grad_fn(g):
         gx = np.empty((steps, batch, d_in))
@@ -230,6 +254,15 @@ def gru_cell(x, h, layer: GruLayerParams) -> Tensor:
     return out
 
 
+def _lookback_sequence(features, caller: str) -> np.ndarray:
+    """A [n_stocks, 360] feature block as a [60, n_stocks, 6] sequence."""
+    arr = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != FEATURE_WIDTH:
+        raise ShapeError(f"{caller} expects [n_stocks, {FEATURE_WIDTH}], got {arr.shape}")
+    # row layout: 60 steps x 6 fields, oldest step first
+    return arr.reshape(arr.shape[0], LOOKBACK_DAYS, FIELDS_PER_DAY).transpose(1, 0, 2)
+
+
 def encode_panel(features, params: EncoderParams) -> Tensor:
     """Encode a [n_stocks, 360] feature block into [n_stocks, hidden].
 
@@ -237,14 +270,29 @@ def encode_panel(features, params: EncoderParams) -> Tensor:
     weights only.  Rows are independent, so the output is row-permutation
     equivariant.
     """
-    arr = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != FEATURE_WIDTH:
-        raise ShapeError(f"encode_panel expects [n_stocks, {FEATURE_WIDTH}], got {arr.shape}")
-    n_stocks = arr.shape[0]
-    # row layout: 60 steps x 6 fields, oldest step first
-    seq = Tensor(arr.reshape(n_stocks, LOOKBACK_DAYS, FIELDS_PER_DAY).transpose(1, 0, 2).copy())
-    out = seq
+    seq = _lookback_sequence(features, "encode_panel")
+    n_stocks = seq.shape[1]
+    out = Tensor(seq.copy())
     for layer in params.layers:
         h0 = Tensor(np.zeros((n_stocks, layer.hidden_width)))
         out = gru_sequence(out, h0, layer)
     return ad.last_step(out)
+
+
+def encode_rows(features, params: EncoderParams) -> np.ndarray:
+    """:func:`encode_panel`'s output as a plain array, computed off the tape.
+
+    All layers advance together one step at a time with the same step
+    function as :func:`gru_sequence`, keeping only each layer's running
+    state: no step's gates or projections are stored.  Rows are independent,
+    so any set of rows (several dates' cross-sections, say) can be encoded
+    in one call.
+    """
+    seq = _lookback_sequence(features, "encode_rows")
+    weights = [_forward_weights(layer) for layer in params.layers]
+    states = [np.zeros((seq.shape[1], layer.hidden_width)) for layer in params.layers]
+    for x_t in seq:
+        for i, (w_x, b_x, u_zr, uc, bch) in enumerate(weights):
+            states[i] = _gru_step(states[i], x_t @ w_x.T + b_x, u_zr, uc, bch)[0]
+            x_t = states[i]
+    return states[-1]

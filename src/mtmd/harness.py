@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -20,12 +20,21 @@ from . import autodiff as ad
 from . import metrics as mx
 from .checkpoint import Checkpoint
 from .data import ConceptGraph, DateSlice, FeaturePanel, load_panel
+from .encoder import encode_rows
 from .errors import ContractError, DataError, NumericError, UsageError
 from .memory import MemoryBank
-from .model import (ModelConfig, ModelParams, forward, init_banks,
+# ``predict`` is no longer called here; it stays importable as ``harness.predict``
+# because benchmark/spans.py wraps it there
+from .model import (ModelConfig, ModelParams, check_config_keys, forward, init_banks,  # noqa: F401
                     init_parameters, mse_loss, predict)
 
+SPLITS = ("train", "valid", "test")
 EXPORT_STAGES = ("h1", "q1", "q2", "hhat3")
+# Rows per off-tape encoder call in evaluation.  Measured cost per row is
+# flat from 256 rows up at width 16; at width 128 it is lowest at 128-256
+# rows, and whole-split blocks of ~1700 rows cost more as the step arrays
+# outgrow the cache.
+ENCODE_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -49,20 +58,14 @@ class TrainConfig:
             raise ContractError("split boundaries must satisfy train_end < valid_end")
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "panel_path", "concept_path", "learning_rate", "momentum", "epochs",
-            "patience", "seed", "train_end", "valid_end", "reset_banks_each_epoch")}
-        d["model"] = self.model.to_dict()
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        check_config_keys(cls, d)
         d = dict(d)
         model = ModelConfig.from_dict(d.pop("model", {}))
-        known = {k: d[k] for k in (
-            "panel_path", "concept_path", "learning_rate", "momentum", "epochs",
-            "patience", "seed", "train_end", "valid_end", "reset_banks_each_epoch") if k in d}
-        return cls(model=model, **known)
+        return cls(model=model, **d)
 
     @classmethod
     def from_json_file(cls, path: str) -> "TrainConfig":
@@ -146,14 +149,37 @@ class _Sgd:
             tensor.data -= self.lr * g
 
 
+def eval_traces(slices: list[DateSlice], graph: ConceptGraph, params: ModelParams,
+                banks: dict[str, MemoryBank], config: ModelConfig):
+    """Yield ``(slice, trace)`` of an eval-mode forward pass per date, in order.
+
+    The encoder runs off the tape over the rows of all dates together, in
+    blocks of ``ENCODE_BLOCK_ROWS``; each date's remaining stages then run
+    on its slice of the result.  Banks are read, and with ``eval_writes``
+    written, one date at a time in chronological order, as in a per-date
+    loop; the encoder reads no bank.
+    """
+    offsets = np.cumsum([0] + [s.n_stocks for s in slices])
+    # each block gathers its rows from the slices it overlaps, so the
+    # split's features are never copied whole
+    blocks = []
+    for lo in range(0, offsets[-1], ENCODE_BLOCK_ROWS):
+        hi = lo + ENCODE_BLOCK_ROWS
+        rows = [s.features[max(lo - at, 0):hi - at]
+                for s, at in zip(slices, offsets) if lo < at + s.n_stocks and at < hi]
+        blocks.append(encode_rows(np.concatenate(rows), params.encoder))
+    encoded = np.concatenate(blocks)
+    for s, at in zip(slices, offsets):
+        mask = graph.mask_for(s.date, s.stock_ids)
+        yield s, forward(s, mask, params, banks, config, mode="eval",
+                         encoded=encoded[at:at + s.n_stocks])
+
+
 def _mean_valid_ic(slices: list[DateSlice], graph: ConceptGraph, params: ModelParams,
                    banks: dict[str, MemoryBank], config: ModelConfig) -> float | None:
-    values = []
-    for s in slices:
-        mask = graph.mask_for(s.date, s.stock_ids)
-        value = mx.ic(predict(s, mask, params, banks, config), s.labels)
-        if value is not None:
-            values.append(value)
+    values = [mx.ic(trace.predictions.data, s.labels)
+              for s, trace in eval_traces(slices, graph, params, banks, config)]
+    values = [v for v in values if v is not None]
     return float(np.mean(values)) if values else None
 
 
@@ -164,24 +190,51 @@ def _snapshot_tensors(params: ModelParams, banks: dict[str, MemoryBank]) -> dict
     return tensors
 
 
+def _checkpoint_config(ckpt: Checkpoint, cls, section: str):
+    """One config section of a checkpoint; bad contents are a data error."""
+    try:
+        return cls.from_dict(ckpt.config.get(section, {}))
+    except (UsageError, ContractError) as exc:
+        raise DataError(f"checkpoint {section} config is invalid: {exc}") from None
+
+
+def _stored_tensor(ckpt: Checkpoint, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    stored = ckpt.tensors.get(name)
+    if stored is None:
+        raise DataError(f"checkpoint is missing tensor {name!r}")
+    if stored.shape != shape:
+        raise DataError(f"checkpoint tensor {name!r} has shape {stored.shape}, expected {shape}")
+    if not np.all(np.isfinite(stored)):
+        raise DataError(f"checkpoint tensor {name!r} has non-finite values")
+    return stored
+
+
 def state_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelParams, dict[str, MemoryBank], ModelConfig]:
     """Rebuild parameters and banks from a checkpoint's named tensors."""
-    model_cfg = ModelConfig.from_dict(ckpt.config.get("model", {}))
+    model_cfg = _checkpoint_config(ckpt, ModelConfig, "model")
     params = init_parameters(model_cfg)
     for name, tensor in params.named().items():
-        stored = ckpt.tensors.get(name)
-        if stored is None:
-            raise DataError(f"checkpoint is missing tensor {name!r}")
-        if stored.shape != tensor.data.shape:
-            raise DataError(f"checkpoint tensor {name!r} has shape {stored.shape}, "
-                            f"expected {tensor.data.shape}")
-        tensor.data[:] = stored
-    banks = {
-        "predefined": MemoryBank(items=ckpt.tensors["memory.predefined"].copy(),
-                                 stage="predefined"),
-        "hidden": MemoryBank(items=ckpt.tensors["memory.hidden"].copy(), stage="hidden"),
-    }
+        tensor.data[:] = _stored_tensor(ckpt, name, tensor.data.shape)
+    bank_shape = (model_cfg.memory_items, model_cfg.embed_width)
+    banks = {stage: MemoryBank(items=_stored_tensor(ckpt, f"memory.{stage}", bank_shape).copy(),
+                               stage=stage)
+             for stage in ("predefined", "hidden")}
     return params, banks, model_cfg
+
+
+def _resolve_split(ckpt: Checkpoint, split: str, panel: FeaturePanel | None,
+                   graph: ConceptGraph | None):
+    """A checkpoint's model config, the concept graph, the model state and
+    the slices of one of its splits."""
+    if split not in SPLITS:
+        raise UsageError(f"unknown split {split!r}; expected train, valid, or test")
+    train_cfg = _checkpoint_config(ckpt, TrainConfig, "train")
+    panel, graph = _load_data(train_cfg, panel, graph)
+    params, banks, model_cfg = state_from_checkpoint(ckpt)
+    slices = dict(zip(SPLITS, split_slices(panel, train_cfg.train_end, train_cfg.valid_end)))[split]
+    if not slices:
+        raise DataError(f"{split} split is empty")
+    return model_cfg, graph, params, banks, slices
 
 
 def _load_data(config: TrainConfig, panel: FeaturePanel | None,
@@ -261,22 +314,9 @@ def train(config: TrainConfig, panel: FeaturePanel | None = None,
 def evaluate(ckpt: Checkpoint, split: str, panel: FeaturePanel | None = None,
              graph: ConceptGraph | None = None) -> mx.MetricReport:
     """Frozen-bank metrics over the requested split of labeled dates."""
-    if split not in ("train", "valid", "test"):
-        raise UsageError(f"unknown split {split!r}; expected train, valid, or test")
-    train_cfg = TrainConfig.from_dict(ckpt.config.get("train", {}))
-    panel, graph = _load_data(train_cfg, panel, graph)
-    params, banks, model_cfg = state_from_checkpoint(ckpt)
-    parts = dict(zip(("train", "valid", "test"),
-                     split_slices(panel, train_cfg.train_end, train_cfg.valid_end)))
-    slices = parts[split]
-    if not slices:
-        raise DataError(f"{split} split is empty")
-    daily = []
-    for s in slices:
-        mask = graph.mask_for(s.date, s.stock_ids)
-        preds = predict(s, mask, params, banks, model_cfg)
-        daily.append(mx.score_date(s.date, preds, s.labels, s.raw_labels))
-    return mx.aggregate(daily)
+    model_cfg, graph, params, banks, slices = _resolve_split(ckpt, split, panel, graph)
+    return mx.aggregate([mx.score_date(s.date, trace.predictions.data, s.labels, s.raw_labels)
+                         for s, trace in eval_traces(slices, graph, params, banks, model_cfg)])
 
 
 @dataclass
@@ -360,23 +400,12 @@ def export_embeddings(ckpt: Checkpoint, split: str, out_path: str,
     Stage codes: h1 = encoder output, q1/q2 = memory-refined predefined and
     hidden features, hhat3 = individual features.  Returns the row count.
     """
-    if split not in ("train", "valid", "test"):
-        raise UsageError(f"unknown split {split!r}; expected train, valid, or test")
-    train_cfg = TrainConfig.from_dict(ckpt.config.get("train", {}))
-    panel, graph = _load_data(train_cfg, panel, graph)
-    params, banks, model_cfg = state_from_checkpoint(ckpt)
-    parts = dict(zip(("train", "valid", "test"),
-                     split_slices(panel, train_cfg.train_end, train_cfg.valid_end)))
-    slices = parts[split]
-    if not slices:
-        raise DataError(f"{split} split is empty")
+    model_cfg, graph, params, banks, slices = _resolve_split(ckpt, split, panel, graph)
     width = model_cfg.embed_width
     rows = 0
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("date,stock_id,stage," + ",".join(f"e{i:03d}" for i in range(width)) + "\n")
-        for s in slices:
-            mask = graph.mask_for(s.date, s.stock_ids)
-            trace = forward(s, mask, params, banks, model_cfg, mode="eval")
+        for s, trace in eval_traces(slices, graph, params, banks, model_cfg):
             stage_data = {
                 "h1": trace.predefined.inputs.data,
                 "q1": trace.predefined.refined.data,
@@ -384,9 +413,8 @@ def export_embeddings(ckpt: Checkpoint, split: str, out_path: str,
                 "hhat3": trace.individual.local.data,
             }
             for stage in EXPORT_STAGES:
-                block = stage_data[stage]
-                for i, stock_id in enumerate(s.stock_ids):
-                    fh.write(f"{s.date},{stock_id},{stage},"
-                             + ",".join(repr(v) for v in block[i]) + "\n")
+                # repr of a Python float is the shortest literal that reads back exactly
+                for stock_id, values in zip(s.stock_ids, stage_data[stage].tolist()):
+                    fh.write(f"{s.date},{stock_id},{stage}," + ",".join(map(repr, values)) + "\n")
                     rows += 1
     return rows

@@ -79,7 +79,8 @@ def memorize(queries: Tensor | np.ndarray, match_probs: Tensor | np.ndarray,
     """Fold the strongest-matching stocks into the bank, in place.
 
     Per-stock probabilities are renormalized by their own maximum and
-    summed into a write strength in [1, n_items]; stocks are ranked by
+    summed into a write strength in [1, n_items] (0 for a stock whose
+    probabilities are all zero); stocks are ranked by
     strength (ties to the lower index) and the k-th ranked stock updates
     row k via an L2-normalized accumulation.  With fewer stocks than
     rows, trailing rows are left untouched.  Not differentiable by design.
@@ -94,7 +95,9 @@ def memorize(queries: Tensor | np.ndarray, match_probs: Tensor | np.ndarray,
             f"memorize operands {q.shape}/{v.shape} do not match bank "
             f"{bank.items.shape}"
         )
-    renormed = v / v.max(axis=1, keepdims=True)
+    # a row whose probabilities all underflowed to zero gets strength 0
+    peak = v.max(axis=1, keepdims=True)
+    renormed = np.divide(v, peak, out=np.zeros_like(v), where=peak > 0.0)
     strength = renormed.sum(axis=1)
     order = np.argsort(-strength, kind="stable")
     for row, stock in enumerate(order[: min(bank.n_items, n_stocks)]):

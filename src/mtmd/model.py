@@ -8,7 +8,7 @@ feature, which reproduces the memory-free baseline flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import concepts as cc
 from .autodiff import Tensor
 from .data import DateSlice
 from .encoder import EncoderParams, encode_panel, init_encoder
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericError, ShapeError, UsageError
 from .memory import MemoryBank, RetrievalState, global_aggregate, init_bank, memorize
 
 ABLATION_CODES = {
@@ -58,20 +58,22 @@ class ModelConfig:
         return replace(self, memory_predefined=pre, memory_hidden=hid)
 
     def to_dict(self) -> dict:
-        return {
-            "embed_width": self.embed_width,
-            "memory_items": self.memory_items,
-            "concept_capacity": self.concept_capacity,
-            "memory_predefined": self.memory_predefined,
-            "memory_hidden": self.memory_hidden,
-            "leaky_slope": self.leaky_slope,
-            "eval_writes": self.eval_writes,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: d[k] for k in cls().to_dict() if k in d})
+        check_config_keys(cls, d)
+        return cls(**d)
+
+
+def check_config_keys(cls, d: dict) -> None:
+    """Raise a usage error unless ``d`` is a dict whose keys all name
+    fields of the config dataclass ``cls``."""
+    if not isinstance(d, dict):
+        raise UsageError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise UsageError(f"unknown {cls.__name__} keys: {unknown}")
 
 
 @dataclass
@@ -135,14 +137,19 @@ class ForwardTrace:
     hidden: StageTrace
     individual: StageTrace
     predictions: Tensor
-    concept_embeddings: dict = field(default_factory=dict)
 
 
 def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams,
             banks: dict[str, MemoryBank], config: ModelConfig,
-            mode: str = "train") -> ForwardTrace:
+            mode: str = "train", encoded: np.ndarray | None = None) -> ForwardTrace:
     """One date's full pass; in train mode the enabled banks are written
-    after predictions are formed (writes stay off the tape)."""
+    after predictions are formed (writes stay off the tape).
+
+    ``encoded`` is the date's [n_stocks, width] encoder output, computed
+    beforehand off the tape (:func:`mtmd.encoder.encode_rows`); the pass
+    then sends no gradient to the encoder.  Without it the encoder runs on
+    the tape.
+    """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
     mask = np.asarray(concept_mask, dtype=bool)
@@ -160,7 +167,15 @@ def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams
     slope = config.leaky_slope
     writes_allowed = mode == "train" or config.eval_writes
 
-    encoded = encode_panel(date_slice.features, params.encoder)
+    if encoded is None:
+        encoded = encode_panel(date_slice.features, params.encoder)
+    else:
+        if encoded.shape != (n_stocks, config.embed_width):
+            raise ShapeError(f"precomputed encoding shape {encoded.shape} != "
+                             f"({n_stocks}, {config.embed_width})")
+        if not np.all(np.isfinite(encoded)):
+            raise NumericError(f"non-finite encoder output on date {date_slice.date}")
+        encoded = Tensor(encoded)
 
     # predefined stage
     concept_seed, empty = cc.init_predefined(encoded, mask, date_slice.market_caps)
@@ -217,7 +232,6 @@ def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams
         individual=StageTrace(inputs=individual_in, local=local_ind, refined=local_ind,
                               forecast=forecasts[2]),
         predictions=predictions,
-        concept_embeddings={"predefined": concepts_pre, "hidden": concepts_hid},
     )
 
 

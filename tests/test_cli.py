@@ -86,6 +86,20 @@ class TestTrainEval:
     def test_eval_missing_checkpoint_is_data_error(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "none.bin")]) == 2
 
+    def test_eval_truncated_checkpoint_is_data_error(self, checkpoint_path, tmp_path, capsys):
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(checkpoint_path.read_bytes()[:100])
+        assert main(["eval", "--checkpoint", str(cut)]) == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_unknown_config_key_is_usage_error(self, config_path, tmp_path, capsys):
+        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        cfg["learning_rte"] = 0.5
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["train", "--config", str(bad), "--checkpoint", str(tmp_path / "x.bin")]) == 1
+        assert "learning_rte" in capsys.readouterr().err
+
     def test_seed_override_changes_checkpoint(self, data_dir, config_path, checkpoint_path):
         other = data_dir / "model_seed9.bin"
         assert main(["train", "--config", str(config_path), "--seed", "9",

@@ -169,3 +169,18 @@ class TestEncodePanel:
         analytic = ad.backward(run(values))
         numeric = finite_difference(lambda v: run(v).item(), values)
         assert max_rel_error(analytic, numeric) < 1e-4
+
+
+class TestEncodeRows:
+    def test_matches_taped_encoder(self):
+        rng = np.random.default_rng(29)
+        params = enc.init_encoder(rng, hidden=7)
+        feats = rng.normal(size=(9, enc.FEATURE_WIDTH))
+        off_tape = enc.encode_rows(feats, params)
+        assert isinstance(off_tape, np.ndarray)
+        assert np.max(np.abs(off_tape - enc.encode_panel(feats, params).data)) <= 1e-12
+
+    def test_width_mismatch_rejected(self):
+        params = enc.init_encoder(np.random.default_rng(0), hidden=4)
+        with pytest.raises(ShapeError, match="360"):
+            enc.encode_rows(np.zeros((2, 100)), params)

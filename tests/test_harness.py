@@ -1,14 +1,20 @@
+import csv
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from mtmd import metrics as mx
 from mtmd.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from mtmd.data import SyntheticSpec, generate_synthetic
 from mtmd.errors import ContractError, DataError, NumericError, UsageError
-from mtmd.harness import (TrainConfig, evaluate, export_embeddings, fraction_boundaries,
-                          run_ablation, split_slices, state_from_checkpoint, train)
-from mtmd.model import ModelConfig
+from mtmd.harness import (ENCODE_BLOCK_ROWS, TrainConfig, eval_traces, evaluate,
+                          export_embeddings, fraction_boundaries, run_ablation, split_slices,
+                          state_from_checkpoint, train)
+from mtmd.model import ModelConfig, forward, init_banks, init_parameters
 
 
 @pytest.fixture(scope="module")
@@ -241,3 +247,149 @@ class TestConfigSerialization:
     def test_missing_file_is_usage_error(self):
         with pytest.raises(UsageError, match="not found"):
             TrainConfig.from_json_file("/nonexistent/cfg.json")
+
+    def test_unknown_keys_rejected(self, small_config):
+        with pytest.raises(UsageError, match="learning_rte"):
+            TrainConfig.from_dict({"learning_rte": 0.5})
+        with pytest.raises(UsageError, match="embed_widht"):
+            TrainConfig.from_dict({"model": {"embed_widht": 8}})
+        assert TrainConfig.from_dict(small_config.to_dict()) == small_config
+
+    @given(st.text(min_size=1, max_size=16))
+    @settings(max_examples=60, deadline=None)
+    def test_any_unknown_key_rejected(self, key):
+        assume(key not in {f.name for f in fields(TrainConfig)})
+        with pytest.raises(UsageError):
+            TrainConfig.from_dict({"epochs": 2, key: 0.5})
+        assume(key not in {f.name for f in fields(ModelConfig)})
+        with pytest.raises(UsageError):
+            ModelConfig.from_dict({"embed_width": 4, key: 0.5})
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(market, tmp_path_factory):
+    """The saved bytes of an untrained width-2 checkpoint, and a scratch directory."""
+    panel, _ = market
+    train_end, valid_end = fraction_boundaries(panel)
+    cfg = TrainConfig(model=ModelConfig(embed_width=2, memory_items=2),
+                      train_end=train_end, valid_end=valid_end)
+    tensors = {name: t.data for name, t in init_parameters(cfg.model).named().items()}
+    tensors.update({f"memory.{k}": b.items for k, b in init_banks(cfg.model).items()})
+    folder = tmp_path_factory.mktemp("corrupt")
+    path = folder / "tiny.bin"
+    save_checkpoint(Checkpoint(tensors=tensors, config={"model": cfg.model.to_dict(),
+                                                        "train": cfg.to_dict()}), str(path))
+    return path.read_bytes(), folder
+
+
+class TestCheckpointCorruption:
+    def test_truncation_at_every_offset_is_data_error(self, tiny_checkpoint):
+        blob, folder = tiny_checkpoint
+        path = folder / "cut.bin"
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataError):
+                load_checkpoint(str(path))
+
+    @given(st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 7)), min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_flips_load_or_raise_data_error(self, market, tiny_checkpoint, flips):
+        panel, graph = market
+        blob, folder = tiny_checkpoint
+        corrupt = bytearray(blob)
+        for pos, bit in flips:
+            corrupt[pos % len(corrupt)] ^= 1 << bit
+        path = folder / "flipped.bin"
+        path.write_bytes(bytes(corrupt))
+        try:
+            ckpt = load_checkpoint(str(path))
+        except DataError:
+            return
+        # what loads must score or fail through a documented error (exit 2 or 3)
+        try:
+            evaluate(ckpt, "test", panel=panel, graph=graph)
+        except (DataError, NumericError):
+            pass
+
+    def test_missing_bank_is_data_error(self, trained):
+        ckpt, _ = trained
+        tensors = {k: v for k, v in ckpt.tensors.items() if k != "memory.hidden"}
+        with pytest.raises(DataError, match="memory.hidden"):
+            state_from_checkpoint(Checkpoint(tensors=tensors, config=ckpt.config))
+
+
+@pytest.fixture(scope="module")
+def wide_market():
+    # 30 stocks: a test split of 16 dates has 480 rows, and the 256-row
+    # encoder block boundary falls inside the ninth date
+    spec = SyntheticSpec(n_stocks=30, n_concepts=3, n_dates=100, seed=8)
+    panel, graph, _ = generate_synthetic(spec)
+    train_end, valid_end = fraction_boundaries(panel, 0.5, 0.1)
+    cfg = TrainConfig(model=ModelConfig(embed_width=5, memory_items=3), learning_rate=0.05,
+                      epochs=1, patience=1, seed=2, train_end=train_end, valid_end=valid_end)
+    ckpt, _ = train(cfg, panel=panel, graph=graph)
+    test = split_slices(panel, train_end, valid_end)[2]
+    assert len(test) * 30 > ENCODE_BLOCK_ROWS and ENCODE_BLOCK_ROWS % 30
+    return panel, graph, ckpt, test
+
+
+def per_date_traces(slices, graph, params, banks, config):
+    """The reference: one taped forward pass per date."""
+    return [forward(s, graph.mask_for(s.date, s.stock_ids), params, banks, config, mode="eval")
+            for s in slices]
+
+
+def stage_arrays(trace):
+    return {"h1": trace.predefined.inputs.data, "q1": trace.predefined.refined.data,
+            "q2": trace.hidden.refined.data, "hhat3": trace.individual.local.data,
+            "predictions": trace.predictions.data}
+
+
+class TestBatchedEvaluation:
+    def test_metrics_match_per_date_path(self, wide_market):
+        panel, graph, ckpt, test = wide_market
+        params, banks, cfg = state_from_checkpoint(ckpt)
+        report = evaluate(ckpt, "test", panel=panel, graph=graph)
+        reference = per_date_traces(test, graph, params, banks, cfg)
+        assert [d.date for d in report.daily] == [s.date for s in test]
+        for day, s, ref in zip(report.daily, test, reference):
+            want = mx.score_date(s.date, ref.predictions.data, s.labels, s.raw_labels)
+            assert abs(day.ic - want.ic) <= 1e-12
+            assert abs(day.rank_ic - want.rank_ic) <= 1e-12
+            for n in mx.PRECISION_LEVELS:
+                assert abs(day.precision[n] - want.precision[n]) <= 1e-12
+
+    def test_export_cells_are_exact_floats_matching_per_date_path(self, wide_market, tmp_path):
+        panel, graph, ckpt, test = wide_market
+        out = tmp_path / "emb.csv"
+        rows = export_embeddings(ckpt, "test", str(out), panel=panel, graph=graph)
+        params, banks, cfg = state_from_checkpoint(ckpt)
+        batched = {s.date: stage_arrays(t) for s, t in eval_traces(test, graph, params, banks, cfg)}
+        reference = {s.date: stage_arrays(t)
+                     for s, t in zip(test, per_date_traces(test, graph, params, banks, cfg))}
+        index = {sid: i for i, sid in enumerate(test[0].stock_ids)}
+        with open(out, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            seen = 0
+            for date, stock_id, stage, *cells in reader:
+                values = np.array([float(c) for c in cells])
+                i = index[stock_id]
+                assert values.tobytes() == batched[date][stage][i].tobytes()
+                assert np.max(np.abs(values - reference[date][stage][i])) <= 1e-12
+                seen += 1
+        assert seen == rows == len(test) * 30 * 4
+
+    def test_eval_writes_match_per_date_path(self, wide_market):
+        _, graph, ckpt, test = wide_market
+        params, banks, cfg = state_from_checkpoint(ckpt)
+        cfg = replace(cfg, eval_writes=True)
+        banks_ref = {k: b.copy() for k, b in banks.items()}
+        start = {k: b.items.copy() for k, b in banks.items()}
+        batched = [t.predictions.data for _, t in eval_traces(test, graph, params, banks, cfg)]
+        reference = per_date_traces(test, graph, params, banks_ref, cfg)
+        for got, ref in zip(batched, reference):
+            assert np.max(np.abs(got - ref.predictions.data)) <= 1e-12
+        for k in banks:
+            assert not np.array_equal(banks[k].items, start[k])
+            assert np.max(np.abs(banks[k].items - banks_ref[k].items)) <= 1e-12

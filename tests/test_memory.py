@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,3 +152,21 @@ class TestMemorize:
             mem.memorize(queries, state.match_probs.data, bank)
         norms = np.linalg.norm(bank.items, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-9)
+
+    @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 10_000),
+           st.sampled_from([1.0, 1e3]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_degenerate_probability_rows_keep_rows_finite_unit(self, n_stocks, n_items, seed,
+                                                               scale, data):
+        # scale 1e3 drives real softmax underflow; drawn rows are zeroed outright
+        rng = np.random.default_rng(seed)
+        bank = mem.init_bank(n_items, 5, seed=seed)
+        queries = rng.normal(size=(n_stocks, 5)) * scale
+        probs = mem.global_aggregate(ad.Tensor(queries), ad.Tensor(bank.items)).match_probs.data
+        zeroed = data.draw(st.lists(st.booleans(), min_size=n_stocks, max_size=n_stocks))
+        probs = np.where(np.array(zeroed)[:, None], 0.0, probs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mem.memorize(queries, probs, bank)
+        assert np.all(np.isfinite(bank.items))
+        assert np.allclose(np.linalg.norm(bank.items, axis=1), 1.0, atol=1e-9)

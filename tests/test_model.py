@@ -4,7 +4,8 @@ import pytest
 from mtmd import autodiff as ad
 from mtmd import model as mm
 from mtmd.data import DateSlice, SyntheticSpec, generate_synthetic, normalize_labels_per_date
-from mtmd.errors import ContractError, ShapeError
+from mtmd.encoder import encode_rows
+from mtmd.errors import ContractError, NumericError, ShapeError, UsageError
 
 from oracles import finite_difference, max_rel_error
 
@@ -74,6 +75,10 @@ class TestConfig:
         cfg = mm.ModelConfig(embed_width=8, memory_items=2, seed=9, memory_hidden=False)
         assert mm.ModelConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_unknown_key_rejected(self):
+        with pytest.raises(UsageError, match="embed_widht"):
+            mm.ModelConfig.from_dict({"embed_widht": 8})
+
 
 class TestForward:
     def test_residual_identities(self):
@@ -113,6 +118,23 @@ class TestForward:
         rng = np.random.default_rng(1)
         out = mm.predict(tiny_slice(rng, n_stocks=1), np.array([[True]]), params, banks, config)
         assert np.allclose(out, [0.7], atol=1e-15)
+
+    def test_precomputed_encoding_matches_taped_encoder(self):
+        rng, params, banks = build(SMALL)
+        s, mask = tiny_slice(rng), tiny_mask(rng)
+        taped = mm.forward(s, mask, params, banks, SMALL, mode="eval")
+        given = mm.forward(s, mask, params, banks, SMALL, mode="eval",
+                           encoded=encode_rows(s.features, params.encoder))
+        assert np.max(np.abs(given.predictions.data - taped.predictions.data)) <= 1e-12
+        assert not given.predefined.inputs.requires_grad
+
+    def test_precomputed_encoding_checked(self):
+        rng, params, banks = build(SMALL)
+        s, mask = tiny_slice(rng), tiny_mask(rng)
+        with pytest.raises(ShapeError, match="precomputed"):
+            mm.forward(s, mask, params, banks, SMALL, mode="eval", encoded=np.zeros((6, 5)))
+        with pytest.raises(NumericError, match="non-finite"):
+            mm.forward(s, mask, params, banks, SMALL, mode="eval", encoded=np.full((6, 4), np.nan))
 
     def test_eval_mode_is_pure(self):
         rng, params, banks = build(SMALL)
