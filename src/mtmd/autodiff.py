@@ -55,33 +55,6 @@ class Tensor:
         tag = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __rsub__(self, other):
-        return subtract(other, self)
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        return multiply(other, self)
-
-    def __truediv__(self, other):
-        return divide(self, other)
-
-    def __neg__(self):
-        return negate(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -165,11 +138,6 @@ def divide(a, b) -> Tensor:
     return _node(data, (a, b), grad_fn)
 
 
-def negate(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(-a.data, (a,), lambda g: (-g,))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shape manipulation
 
@@ -238,17 +206,6 @@ def last_step(seq) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return _node(out, (a,), lambda g: (g * out,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out = np.sqrt(a.data)
@@ -258,19 +215,6 @@ def sqrt(a) -> Tensor:
         return (np.where(a.data > 0.0, 0.5 * g / np.where(a.data > 0.0, out, 1.0), 0.0),)
 
     return _node(out, (a,), grad_fn)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-    return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    x = a.data
-    out = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def leaky_relu(a, slope: float = LEAKY_SLOPE) -> Tensor:
@@ -355,18 +299,6 @@ def cosine_matrix(a, b, eps: float = EPS) -> Tensor:
     nb = clamp_min(sqrt(reduce_sum(multiply(b, b), axis=1)), eps)
     denom = matmul(reshape(na, (a.data.shape[0], 1)), reshape(nb, (1, b.data.shape[0])))
     return divide(matmul(a, transpose(b)), denom)
-
-
-def cosine_similarity(a, b, eps: float = EPS) -> Tensor:
-    """Cosine similarity of two equal-length vectors as a scalar tensor."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeError(
-            f"cosine_similarity expects equal-length vectors, got {a.data.shape} and {b.data.shape}"
-        )
-    n = a.data.shape[0]
-    sim = cosine_matrix(reshape(a, (1, n)), reshape(b, (1, n)), eps)
-    return reshape(sim, ())
 
 
 # ---------------------------------------------------------------------------

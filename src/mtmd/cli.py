@@ -16,6 +16,7 @@ from .data import (SyntheticSpec, generate_synthetic, write_concepts_csv,
                    write_panel_csv, write_truth_csv)
 from .errors import ContractError, DataError, NumericError, ShapeError, UsageError
 from .harness import TrainConfig, evaluate, export_embeddings, run_ablation, train
+from .model import check_config_keys
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,10 +64,7 @@ def _cmd_gen_data(args) -> None:
         raise UsageError(f"spec file not found: {args.spec}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"spec file {args.spec} is not valid JSON: {exc}") from None
-    known = {f for f in SyntheticSpec.__dataclass_fields__}
-    unknown = set(raw) - known
-    if unknown:
-        raise UsageError(f"unknown synthetic spec keys: {sorted(unknown)}")
+    check_config_keys(SyntheticSpec, raw)
     spec = SyntheticSpec(**raw)
     panel, graph, truth = generate_synthetic(spec)
     os.makedirs(args.out, exist_ok=True)

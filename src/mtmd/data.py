@@ -100,12 +100,6 @@ class FeaturePanel:
     def usable_dates(self) -> list[str]:
         return [s.date for s in self.usable_slices]
 
-    def slice_at(self, date: str) -> DateSlice:
-        for s in self.slices:
-            if s.date == date:
-                return s
-        raise KeyError(date)
-
 
 class ConceptGraph:
     """Bipartite stock-concept links, static or per-date."""

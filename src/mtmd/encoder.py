@@ -5,10 +5,9 @@ step first) and pushed through two stacked recurrence layers; the final
 hidden state of the top layer is the stock's temporal embedding.
 
 The per-sequence recurrence runs as a single fused tape node
-(:func:`gru_sequence`) with a hand-written backward pass; :func:`gru_cell`
-is the same cell built from tape primitives and is cross-checked against
-the fused path in the tests.  :func:`encode_rows` runs the same forward
-step off the tape, for scoring and export where no gradient is needed.
+(:func:`gru_sequence`) with a hand-written backward pass.
+:func:`encode_rows` runs the same forward step off the tape, for scoring
+and export where no gradient is needed.
 """
 
 from __future__ import annotations
@@ -224,34 +223,6 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, layer: GruLayerParams) -> Tensor:
         layer.cand_x, layer.cand_h, layer.cand_bx, layer.cand_bh,
     )
     return ad._node(states[1:], parents, grad_fn)
-
-
-def gru_cell(x, h, layer: GruLayerParams) -> Tensor:
-    """Single recurrence step built from tape primitives.
-
-    Accepts a vector or a [batch, d_in] matrix; output rank matches ``h``.
-    """
-    x = ad.as_tensor(x)
-    h = ad.as_tensor(h)
-    squeeze = x.data.ndim == 1
-    if squeeze:
-        x = ad.reshape(x, (1, x.data.shape[0]))
-        h = ad.reshape(h, (1, h.data.shape[0]))
-    if x.data.shape[1] != layer.input_width or h.data.shape[1] != layer.hidden_width:
-        raise ShapeError(
-            f"gru_cell operands {x.data.shape}/{h.data.shape} do not match layer "
-            f"(d_in={layer.input_width}, hidden={layer.hidden_width})"
-        )
-    z = ad.sigmoid(x @ ad.transpose(layer.update_x) + layer.update_bx
-                   + h @ ad.transpose(layer.update_h) + layer.update_bh)
-    r = ad.sigmoid(x @ ad.transpose(layer.reset_x) + layer.reset_bx
-                   + h @ ad.transpose(layer.reset_h) + layer.reset_bh)
-    hl = h @ ad.transpose(layer.cand_h) + layer.cand_bh
-    c = ad.tanh(x @ ad.transpose(layer.cand_x) + layer.cand_bx + r * hl)
-    out = (1.0 - z) * c + z * h
-    if squeeze:
-        out = ad.reshape(out, (out.data.shape[1],))
-    return out
 
 
 def _lookback_sequence(features, caller: str) -> np.ndarray:

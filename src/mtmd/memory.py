@@ -37,7 +37,6 @@ class MemoryBank:
 
 @dataclass
 class RetrievalState:
-    correlations: Tensor   # [n_stocks, n_items] raw query-item scores
     match_probs: Tensor    # [n_stocks, n_items]; columns sum to 1
     refined: Tensor        # [n_stocks, width] query (x) retrieved pattern
 
@@ -64,14 +63,9 @@ def global_aggregate(queries: Tensor, bank_items: Tensor) -> RetrievalState:
         raise ShapeError(
             f"query width {queries.data.shape} does not match bank {bank_items.data.shape}"
         )
-    correlations = ad.matmul(queries, ad.transpose(bank_items))
-    match_probs = ad.softmax(correlations, axis=0)
+    match_probs = ad.softmax(ad.matmul(queries, ad.transpose(bank_items)), axis=0)
     retrieved = ad.matmul(match_probs, bank_items)
-    return RetrievalState(
-        correlations=correlations,
-        match_probs=match_probs,
-        refined=ad.multiply(queries, retrieved),
-    )
+    return RetrievalState(match_probs=match_probs, refined=ad.multiply(queries, retrieved))
 
 
 def memorize(queries: Tensor | np.ndarray, match_probs: Tensor | np.ndarray,

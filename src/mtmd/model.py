@@ -8,7 +8,8 @@ feature, which reproduces the memory-free baseline flow.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from . import concepts as cc
 from .autodiff import Tensor
 from .data import DateSlice
 from .encoder import EncoderParams, encode_panel, init_encoder
-from .errors import ContractError, NumericError, ShapeError, UsageError
+from .errors import ContractError, DataError, NumericError, ShapeError, UsageError
 from .memory import MemoryBank, RetrievalState, global_aggregate, init_bank, memorize
 
 ABLATION_CODES = {
@@ -68,12 +69,28 @@ class ModelConfig:
 
 def check_config_keys(cls, d: dict) -> None:
     """Raise a usage error unless ``d`` is a dict whose keys all name
-    fields of the config dataclass ``cls``."""
+    fields of the config dataclass ``cls`` and whose values have those
+    fields' types.
+
+    An int is accepted where a float is expected; a bool is not a number.
+    A field that is itself a config dataclass is left to its own
+    ``from_dict``.
+    """
     if not isinstance(d, dict):
         raise UsageError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise UsageError(f"unknown {cls.__name__} keys: {unknown}")
+    hints = get_type_hints(cls)
+    for key, value in d.items():
+        if is_dataclass(hints[key]):
+            continue
+        declared = get_args(hints[key]) or (hints[key],)
+        allowed = declared + (int,) if float in declared else declared
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            expected = " or ".join("null" if t is type(None) else t.__name__ for t in declared)
+            raise UsageError(f"{cls.__name__} key {key!r} must be {expected}, "
+                             f"got {type(value).__name__}")
 
 
 @dataclass
@@ -126,9 +143,7 @@ class StageTrace:
     inputs: Tensor                         # residual feeding this stage
     local: Tensor                          # locally aggregated stock-concept feature
     refined: Tensor                        # memory-refined feature (== local when off)
-    forecast: Tensor
     retrieval: RetrievalState | None = None
-    link_mask: np.ndarray | None = None
 
 
 @dataclass
@@ -159,6 +174,8 @@ def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams
     n_concepts = mask.shape[1]
     if n_concepts == 0:
         raise ContractError("forward requires at least one concept")
+    if not mask.any():
+        raise DataError(f"date {date_slice.date} has no stock-concept links")
     if config.concept_capacity is not None and n_concepts != config.concept_capacity:
         raise ContractError(
             f"date {date_slice.date} has {n_concepts} concepts, config expects "
@@ -224,13 +241,10 @@ def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams
 
     return ForwardTrace(
         predefined=StageTrace(inputs=encoded, local=local_pre, refined=refined_pre,
-                              forecast=forecasts[0], retrieval=retrieval_pre,
-                              link_mask=links_pre),
+                              retrieval=retrieval_pre),
         hidden=StageTrace(inputs=hidden_in, local=local_hid, refined=refined_hid,
-                          forecast=forecasts[1], retrieval=retrieval_hid,
-                          link_mask=links_hid),
-        individual=StageTrace(inputs=individual_in, local=local_ind, refined=local_ind,
-                              forecast=forecasts[2]),
+                          retrieval=retrieval_hid),
+        individual=StageTrace(inputs=individual_in, local=local_ind, refined=local_ind),
         predictions=predictions,
     )
 

@@ -1,8 +1,9 @@
 """Independent oracles used across the test suite.
 
 Everything here is deliberately brute-force and shares no code with the
-package: central finite differences for gradients, direct-formula Pearson,
-enumeration-based average ranks, and naive top-N counting.
+package: central finite differences for gradients, a GRU step written from
+its textbook equations, direct-formula Pearson, enumeration-based average
+ranks, and naive top-N counting.
 """
 
 from __future__ import annotations
@@ -51,6 +52,22 @@ def max_rel_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray
         denom = np.maximum(np.maximum(np.abs(ana), np.abs(num)), 1e-4)
         worst = max(worst, float(np.max(np.abs(ana - num) / denom)))
     return worst
+
+
+def gru_step(x: np.ndarray, h: np.ndarray, w: dict[str, np.ndarray]) -> np.ndarray:
+    """One GRU step from input rows ``x`` and state rows ``h``.
+
+    ``w`` maps the gate tensor names (``update_x``, ``update_h``,
+    ``update_bx``, ``update_bh``, and the same for ``reset`` and ``cand``)
+    to plain arrays; ``*_x`` are hidden x input, ``*_h`` hidden x hidden.
+    """
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    z = sigmoid(x @ w["update_x"].T + w["update_bx"] + h @ w["update_h"].T + w["update_bh"])
+    r = sigmoid(x @ w["reset_x"].T + w["reset_bx"] + h @ w["reset_h"].T + w["reset_bh"])
+    c = np.tanh(x @ w["cand_x"].T + w["cand_bx"] + r * (h @ w["cand_h"].T + w["cand_bh"]))
+    return (1.0 - z) * c + z * h
 
 
 def pearson_direct(a: np.ndarray, b: np.ndarray) -> float:

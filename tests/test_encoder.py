@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from mtmd import autodiff as ad
 from mtmd import encoder as enc
 from mtmd.errors import ShapeError
 
-from oracles import finite_difference, max_rel_error
+from oracles import finite_difference, gru_step, max_rel_error
 
 
 def zero_layer(hidden, d_in):
@@ -22,48 +24,37 @@ def zero_layer(hidden, d_in):
     )
 
 
+def layer_arrays(layer: enc.GruLayerParams) -> dict[str, np.ndarray]:
+    return {f.name: getattr(layer, f.name).data for f in fields(layer)}
+
+
+def one_step(x: np.ndarray, h: np.ndarray, layer: enc.GruLayerParams) -> np.ndarray:
+    """A single step of the fused sequence from input rows ``x`` and state ``h``."""
+    return enc.gru_sequence(ad.Tensor(x[None]), ad.Tensor(h), layer).data[0]
+
+
 class TestGruCell:
+    """A single recurrence step, run as a one-step fused sequence."""
+
     def test_zero_params_zero_state_gives_zero(self):
         layer = zero_layer(4, 3)
-        out = enc.gru_cell(ad.Tensor([1.0, -2.0, 3.0]), ad.Tensor(np.zeros(4)), layer)
-        assert np.array_equal(out.data, np.zeros(4))
+        out = one_step(np.array([[1.0, -2.0, 3.0]]), np.zeros((1, 4)), layer)
+        assert np.array_equal(out, np.zeros((1, 4)))
 
     def test_saturated_update_gate_copies_state(self):
         layer = zero_layer(4, 3)
         layer.update_bx = ad.Tensor(np.full(4, 50.0))
-        h = np.array([0.3, -0.7, 1.1, 0.0])
-        out = enc.gru_cell(ad.Tensor([1.0, 2.0, 3.0]), ad.Tensor(h), layer)
-        assert np.allclose(out.data, h, atol=1e-12)
+        h = np.array([[0.3, -0.7, 1.1, 0.0]])
+        out = one_step(np.array([[1.0, 2.0, 3.0]]), h, layer)
+        assert np.allclose(out, h, atol=1e-12)
 
     def test_matches_fused_sequence(self):
         rng = np.random.default_rng(3)
         layer = enc.init_gru_layer(rng, 5, 3, "l")
         x = rng.normal(size=(2, 3))
         h = rng.normal(size=(2, 5))
-        stepwise = enc.gru_cell(ad.Tensor(x), ad.Tensor(h), layer)
-        fused = enc.gru_sequence(ad.Tensor(x[None, :, :]), ad.Tensor(h), layer)
-        assert np.allclose(stepwise.data, fused.data[0], atol=1e-14)
-
-    def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(3,))
-        h = rng.normal(size=(4,))
-        weights = {n: rng.normal(size=s) * 0.5 for n, s in [
-            ("update_x", (4, 3)), ("update_h", (4, 4)), ("update_bx", (4,)), ("update_bh", (4,)),
-            ("reset_x", (4, 3)), ("reset_h", (4, 4)), ("reset_bx", (4,)), ("reset_bh", (4,)),
-            ("cand_x", (4, 3)), ("cand_h", (4, 4)), ("cand_bx", (4,)), ("cand_bh", (4,)),
-        ]}
-        values = dict(weights, x=x, h=h)
-
-        def run(vals):
-            tensors = {k: ad.Tensor(v, requires_grad=True, name=k) for k, v in vals.items()}
-            layer = enc.GruLayerParams(**{k: tensors[k] for k in weights})
-            out = enc.gru_cell(tensors["x"], tensors["h"], layer)
-            return ad.reduce_sum(ad.multiply(out, out))
-
-        analytic = ad.backward(run(values))
-        numeric = finite_difference(lambda v: run(v).item(), values)
-        assert max_rel_error(analytic, numeric) < 1e-4
+        expected = gru_step(x, h, layer_arrays(layer))
+        assert np.max(np.abs(one_step(x, h, layer) - expected)) <= 1e-13
 
 
 class TestGruSequence:
@@ -73,10 +64,10 @@ class TestGruSequence:
         x = rng.normal(size=(6, 3, 2))
         h = np.zeros((3, 4))
         fused = enc.gru_sequence(ad.Tensor(x), ad.Tensor(h), layer)
-        state = ad.Tensor(h)
+        weights = layer_arrays(layer)
         for t in range(6):
-            state = enc.gru_cell(ad.Tensor(x[t]), state, layer)
-            assert np.allclose(fused.data[t], state.data, atol=1e-13)
+            h = gru_step(x[t], h, weights)
+            assert np.max(np.abs(fused.data[t] - h)) <= 1e-13
 
     def test_fused_gradients_match_finite_differences(self):
         rng = np.random.default_rng(19)

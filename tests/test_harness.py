@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from mtmd import metrics as mx
 from mtmd.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from mtmd.data import SyntheticSpec, generate_synthetic
+from mtmd.data import ConceptGraph, SyntheticSpec, generate_synthetic
 from mtmd.errors import ContractError, DataError, NumericError, UsageError
 from mtmd.harness import (ENCODE_BLOCK_ROWS, TrainConfig, eval_traces, evaluate,
                           export_embeddings, fraction_boundaries, run_ablation, split_slices,
                           state_from_checkpoint, train)
-from mtmd.model import ModelConfig, forward, init_banks, init_parameters
+from mtmd.model import ModelConfig, check_config_keys, forward, init_banks, init_parameters
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +264,50 @@ class TestConfigSerialization:
         assume(key not in {f.name for f in fields(ModelConfig)})
         with pytest.raises(UsageError):
             ModelConfig.from_dict({"embed_width": 4, key: 0.5})
+
+
+# a value of each kind a JSON config can hold, and the declared field types
+# (the parts of ``int | None`` and the like) that take each kind
+JSON_VALUES = {"bool": st.booleans(), "int": st.integers(), "float": st.floats(allow_nan=False),
+               "str": st.text(max_size=8), "None": st.none(),
+               "list": st.lists(st.integers(), max_size=2),
+               "dict": st.dictionaries(st.text(max_size=4), st.integers(), max_size=2)}
+TAKES = {"bool": {"bool"}, "int": {"int"}, "float": {"float", "int"}, "str": {"str"}}
+
+
+class TestConfigValueTypes:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_wrong_typed_value_names_the_key(self, data):
+        cls = data.draw(st.sampled_from([TrainConfig, ModelConfig, SyntheticSpec]))
+        f = data.draw(st.sampled_from([f for f in fields(cls) if f.name != "model"]))
+        taken = set().union(*(TAKES.get(part, {part}) for part in f.type.split(" | ")))
+        value = data.draw(st.one_of(*(v for kind, v in JSON_VALUES.items() if kind not in taken)))
+        with pytest.raises(UsageError, match=f.name):
+            check_config_keys(cls, {f.name: value})
+
+    def test_int_for_float_accepted_bool_for_int_rejected(self):
+        assert TrainConfig.from_dict({"learning_rate": 1}).learning_rate == 1
+        with pytest.raises(UsageError, match="learning_rate"):
+            TrainConfig.from_dict({"learning_rate": "0.1"})
+        with pytest.raises(UsageError, match="embed_width"):
+            TrainConfig.from_dict({"model": {"embed_width": True}})
+
+    def test_wrong_typed_checkpoint_config_is_data_error(self, trained):
+        ckpt, _ = trained
+        config = dict(ckpt.config, model=dict(ckpt.config["model"], embed_width="6"))
+        with pytest.raises(DataError, match="embed_width"):
+            state_from_checkpoint(Checkpoint(tensors=ckpt.tensors, config=config))
+
+
+def test_date_without_concept_links_is_data_error(market, small_config):
+    panel, graph = market
+    dropped = panel.usable_dates[1]
+    links = graph.links_for(dropped)
+    dated = ConceptGraph(graph.concept_ids,
+                         dated_links={d: links for d in panel.dates if d != dropped})
+    with pytest.raises(DataError, match=dropped):
+        train(replace(small_config, epochs=1), panel=panel, graph=dated)
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mtmd import autodiff as ad
 from mtmd import model as mm
 from mtmd.data import DateSlice, SyntheticSpec, generate_synthetic, normalize_labels_per_date
 from mtmd.encoder import encode_rows
-from mtmd.errors import ContractError, NumericError, ShapeError, UsageError
+from mtmd.errors import ContractError, DataError, NumericError, ShapeError, UsageError
 
 from oracles import finite_difference, max_rel_error
 
@@ -205,6 +207,66 @@ class TestForward:
             h3 = trace.individual.inputs.data
             assert np.max(np.abs(h1 - (h2 + trace.predefined.refined.data))) <= 1e-12
             assert np.max(np.abs(h2 - (h3 + trace.hidden.refined.data))) <= 1e-12
+
+
+@st.composite
+def dates_and_masks(draw):
+    """A one- to six-stock date and a random concept mask; empty concepts,
+    stocks with no links and an all-empty mask all occur."""
+    n_stocks = draw(st.integers(1, 6))
+    n_concepts = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.booleans(), min_size=n_stocks * n_concepts,
+                          max_size=n_stocks * n_concepts))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return tiny_slice(rng, n_stocks), np.array(cells, dtype=bool).reshape(n_stocks, n_concepts)
+
+
+class TestForwardProperties:
+    @given(dates_and_masks(), st.sampled_from("BPHA"))
+    @settings(max_examples=60, deadline=None)
+    def test_residual_identities(self, date_and_mask, code):
+        s, mask = date_and_mask
+        assume(mask.any())
+        config = SMALL.with_ablation(code)
+        _, params, banks = build(config)
+        trace = mm.forward(s, mask, params, banks, config, mode="train")
+        h1, h2 = trace.predefined.inputs.data, trace.hidden.inputs.data
+        h3 = trace.individual.inputs.data
+        assert np.max(np.abs(h1 - (h2 + trace.predefined.refined.data))) <= 1e-12
+        assert np.max(np.abs(h2 - (h3 + trace.hidden.refined.data))) <= 1e-12
+
+    @given(dates_and_masks(), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_baseline_independent_of_bank_contents(self, date_and_mask, bank_seed):
+        s, mask = date_and_mask
+        assume(mask.any())
+        config = SMALL.with_ablation("B")
+        _, params, banks = build(config)
+        before = mm.predict(s, mask, params, banks, config)
+        rng = np.random.default_rng(bank_seed)
+        for bank in banks.values():
+            bank.items[:] = rng.normal(scale=10.0, size=bank.items.shape)
+        assert np.array_equal(mm.predict(s, mask, params, banks, config), before)
+
+    @given(dates_and_masks(), st.sampled_from("PHA"))
+    @settings(max_examples=60, deadline=None)
+    def test_eval_mode_leaves_banks_unchanged(self, date_and_mask, code):
+        s, mask = date_and_mask
+        assume(mask.any())
+        config = SMALL.with_ablation(code)
+        _, params, banks = build(config)
+        before = {k: b.items.copy() for k, b in banks.items()}
+        mm.forward(s, mask, params, banks, config, mode="eval")
+        for k, bank in banks.items():
+            assert np.array_equal(bank.items, before[k])
+
+    @given(dates_and_masks(), st.sampled_from(["train", "eval"]))
+    @settings(max_examples=30, deadline=None)
+    def test_all_empty_mask_is_data_error(self, date_and_mask, mode):
+        s, mask = date_and_mask
+        _, params, banks = build(SMALL)
+        with pytest.raises(DataError, match=s.date):
+            mm.forward(s, np.zeros_like(mask), params, banks, SMALL, mode=mode)
 
 
 class TestEndToEndGradients:
