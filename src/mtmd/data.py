@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -350,10 +351,13 @@ def load_panel(panel_path: str, concept_path: str) -> tuple[FeaturePanel, Concep
             stocks = by_date.setdefault(date, {})
             if stock_id in stocks:
                 raise ParseError(panel_path, line, f"duplicate row for ({date}, {stock_id})")
-            if cap <= 0.0:
-                raise ParseError(panel_path, line, f"market cap must be positive, got {cap}")
-            if price <= 0.0:
-                raise ParseError(panel_path, line, f"price must be positive, got {price}")
+            # chained comparisons: false for nan and for either infinity
+            if not 0.0 < cap < math.inf:
+                raise ParseError(panel_path, line,
+                                 f"market cap must be finite and positive, got {cap}")
+            if not 0.0 < price < math.inf:
+                raise ParseError(panel_path, line,
+                                 f"price must be finite and positive, got {price}")
             stocks[stock_id] = (line, cap, price, feats)
 
     if not by_date:

@@ -108,7 +108,8 @@ def init_encoder(rng: np.random.Generator, hidden: int, d_in: int = FIELDS_PER_D
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0.0, 1.0 / d, e / d)
 
 
 def _forward_weights(layer: GruLayerParams):
@@ -135,9 +136,8 @@ def _gru_step(h: np.ndarray, xi: np.ndarray, u_zr: np.ndarray, uc: np.ndarray,
     candidate recurrent term that the backward pass reads.
     """
     hidden = h.shape[1]
-    hzr = h @ u_zr.T
-    z = _sigmoid(xi[:, :hidden] + hzr[:, :hidden])
-    r = _sigmoid(xi[:, hidden:2 * hidden] + hzr[:, hidden:])
+    zr = _sigmoid(xi[:, :2 * hidden] + h @ u_zr.T)
+    z, r = zr[:, :hidden], zr[:, hidden:]
     hl = h @ uc.T + bch
     c = np.tanh(xi[:, 2 * hidden:] + r * hl)
     return (1.0 - z) * c + z * h, z, r, c, hl
@@ -179,35 +179,39 @@ def gru_sequence(x_seq: Tensor, h0: Tensor, layer: GruLayerParams) -> Tensor:
             states[t], xi[t], u_zr, uc, bch)
 
     def grad_fn(g):
-        gx = np.empty((steps, batch, d_in))
-        g_wz, g_uz = np.zeros_like(wz), np.zeros_like(uz)
-        g_wr, g_ur = np.zeros_like(wr), np.zeros_like(ur)
-        g_wc, g_uc = np.zeros_like(wc), np.zeros_like(uc)
-        g_bz = np.zeros(hidden)
-        g_br = np.zeros(hidden)
-        g_bcx = np.zeros(hidden)
-        g_bch = np.zeros(hidden)
+        # per-step gate gradients side by side, [gc | gz | gr | ghl], so the
+        # input weights' gradients (candidate, update, reset) are one
+        # product with the first 3H columns, the recurrent weights' (update,
+        # reset, candidate) one with the last 3H, and the biases one sum;
+        # each element is the same batch reduction as a per-gate product
+        gates = np.empty((batch, 4 * hidden))
+        gc, gz, gr, ghl = np.split(gates, 4, axis=1)
+        g_w = np.zeros((3 * hidden, d_in))
+        g_u = np.zeros((3 * hidden, hidden))
+        g_b = np.zeros(4 * hidden)
+        gx = np.empty((steps, batch, d_in)) if x_seq.requires_grad else None
         carry = np.zeros((batch, hidden))
         for t in range(steps - 1, -1, -1):
             gh = g[t] + carry
             h_prev, z, r, c, hl = states[t], zs[t], rs[t], cands[t], cand_h_lin[t]
-            gz = gh * (h_prev - c) * z * (1.0 - z)
-            gc = gh * (1.0 - z) * (1.0 - c * c)
-            ghl = gc * r
-            gr = gc * hl * r * (1.0 - r)
+            one_minus_z = 1.0 - z
+            np.multiply(gh * (h_prev - c) * z, one_minus_z, out=gz)
+            np.multiply(gh * one_minus_z, 1.0 - c * c, out=gc)
+            np.multiply(gc, r, out=ghl)
+            np.multiply(gc * hl * r, 1.0 - r, out=gr)
             x_t = x_seq.data[t]
-            g_wz += gz.T @ x_t
-            g_uz += gz.T @ h_prev
-            g_bz += gz.sum(axis=0)
-            g_wr += gr.T @ x_t
-            g_ur += gr.T @ h_prev
-            g_br += gr.sum(axis=0)
-            g_wc += gc.T @ x_t
-            g_bcx += gc.sum(axis=0)
-            g_uc += ghl.T @ h_prev
-            g_bch += ghl.sum(axis=0)
-            gx[t] = gz @ wz + gr @ wr + gc @ wc
+            g_w += gates[:, :3 * hidden].T @ x_t
+            g_u += gates[:, hidden:].T @ h_prev
+            g_b += gates.sum(axis=0)
+            # gx and carry stay three products added in this order: one
+            # fused product would change the order of the sums, and so the
+            # bits of every checkpoint
+            if gx is not None:
+                gx[t] = gz @ wz + gr @ wr + gc @ wc
             carry = gh * z + gz @ uz + gr @ ur + ghl @ uc
+        g_wc, g_wz, g_wr = np.split(g_w, 3)
+        g_uz, g_ur, g_uc = np.split(g_u, 3)
+        g_bcx, g_bz, g_br, g_bch = np.split(g_b, 4)
         # the two biases of each sigmoid gate share one gradient
         return (
             gx, carry,

@@ -52,8 +52,15 @@ class TrainConfig:
     reset_banks_each_epoch: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ContractError("learning_rate must be positive")
+        # comparisons written so that nan fails them
+        for key, ok, expected in (
+                ("learning_rate", 0.0 < self.learning_rate < math.inf, "finite and > 0"),
+                ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("patience", self.patience >= 0, ">= 0")):
+            if not ok:
+                raise UsageError(f"TrainConfig key {key!r} must be {expected}, "
+                                 f"got {getattr(self, key)!r}")
         if self.train_end and self.valid_end and not self.train_end < self.valid_end:
             raise ContractError("split boundaries must satisfy train_end < valid_end")
 

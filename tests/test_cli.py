@@ -114,6 +114,37 @@ class TestTrainEval:
         assert main(["train", "--config", str(bad), "--checkpoint", str(tmp_path / "x.bin")]) == 1
         assert "embed_width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("epochs", 0), ("learning_rate", float("inf")),
+                                            ("learning_rate", 0.0), ("momentum", 1.0)])
+    def test_out_of_range_config_value_is_usage_error(self, config_path, tmp_path, capsys,
+                                                      key, value):
+        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        cfg[key] = value
+        bad = tmp_path / "range.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        ckpt = tmp_path / "x.bin"
+        assert main(["train", "--config", str(bad), "--checkpoint", str(ckpt)]) == 1
+        assert key in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("column, name", [(2, "market cap"), (3, "price")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_cap_or_price_is_data_error(self, data_dir, config_path, tmp_path, capsys,
+                                                   column, name, value):
+        lines = (data_dir / "panel.csv").read_text(encoding="utf-8").splitlines()
+        row = lines[6].split(",")
+        row[column] = value
+        lines[6] = ",".join(row)
+        panel = tmp_path / "panel.csv"
+        panel.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        cfg["panel_path"] = str(panel)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["train", "--config", str(path), "--checkpoint", str(tmp_path / "x.bin")]) == 2
+        err = capsys.readouterr().err
+        assert f"panel.csv:7: {name}" in err and value in err
+
     def test_seed_override_changes_checkpoint(self, data_dir, config_path, checkpoint_path):
         other = data_dir / "model_seed9.bin"
         assert main(["train", "--config", str(config_path), "--seed", "9",

@@ -7,7 +7,7 @@ from mtmd import autodiff as ad
 from mtmd import encoder as enc
 from mtmd.errors import ShapeError
 
-from oracles import finite_difference, gru_step, max_rel_error
+from oracles import finite_difference, gru_bptt, gru_step, max_rel_error
 
 
 def zero_layer(hidden, d_in):
@@ -88,6 +88,42 @@ class TestGruSequence:
         numeric = finite_difference(lambda v: run(v).item(), values)
         assert max_rel_error(analytic, numeric) < 1e-4
 
+    @pytest.mark.parametrize("steps, batch, hidden, d_in", [
+        (60, 20, 16, 6), (5, 1, 16, 6), (4, 7, 33, 9), (6, 30, 8, 8), (3, 2, 1, 1)])
+    def test_gradients_match_bptt_oracle(self, steps, batch, hidden, d_in):
+        rng = np.random.default_rng(steps * 1000 + hidden)
+        layer = enc.init_gru_layer(rng, hidden, d_in, "l")
+        x = rng.normal(size=(steps, batch, d_in))
+        h0 = rng.normal(size=(batch, hidden)) * 0.5
+        g = rng.normal(size=(steps, batch, hidden))
+        x_t = ad.Tensor(x, requires_grad=True, name="x")
+        h0_t = ad.Tensor(h0, requires_grad=True, name="h0")
+        out = enc.gru_sequence(x_t, h0_t, layer)
+        grads = ad.backward(ad.reduce_sum(ad.multiply(out, ad.Tensor(g))))
+        grads = {name.removeprefix("l."): value for name, value in grads.items()}
+        expected = gru_bptt(x, h0, layer_arrays(layer), g)
+        assert sorted(grads) == sorted(expected)
+        for name, want in expected.items():
+            assert np.max(np.abs(grads[name] - want)) <= 1e-12, name
+
+    def test_weight_gradients_do_not_depend_on_input_needing_one(self):
+        rng = np.random.default_rng(31)
+        layer = enc.init_gru_layer(rng, 7, 5, "l")
+        x = rng.normal(size=(8, 6, 5))
+        h0 = rng.normal(size=(6, 7))
+        g = ad.Tensor(rng.normal(size=(8, 6, 7)))
+
+        def grads(x_needs_grad):
+            x_t = ad.Tensor(x, requires_grad=x_needs_grad, name="x")
+            h0_t = ad.Tensor(h0, requires_grad=True, name="h0")
+            return ad.backward(ad.reduce_sum(ad.multiply(enc.gru_sequence(x_t, h0_t, layer), g)))
+
+        with_x, without_x = grads(True), grads(False)
+        assert "x" in with_x and "x" not in without_x
+        assert sorted(without_x) == sorted(k for k in with_x if k != "x")
+        for name, value in without_x.items():
+            assert np.array_equal(value, with_x[name]), name
+
     def test_shape_validation(self):
         layer = zero_layer(4, 2)
         with pytest.raises(ShapeError):
@@ -160,6 +196,17 @@ class TestEncodePanel:
         analytic = ad.backward(run(values))
         numeric = finite_difference(lambda v: run(v).item(), values)
         assert max_rel_error(analytic, numeric) < 1e-4
+
+    def test_repeated_backward_is_bitwise_identical(self):
+        rng = np.random.default_rng(37)
+        params = enc.init_encoder(rng, hidden=5)
+        out = enc.encode_panel(rng.normal(size=(4, enc.FEATURE_WIDTH)), params)
+        loss = ad.reduce_sum(ad.multiply(out, out))
+        first = ad.backward(loss)
+        second = ad.backward(loss)
+        assert sorted(first) == sorted(t.name for t in params.tensors())
+        for name, value in first.items():
+            assert np.array_equal(value, second[name]), name
 
 
 class TestEncodeRows:

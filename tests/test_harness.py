@@ -300,6 +300,30 @@ class TestConfigValueTypes:
             state_from_checkpoint(Checkpoint(tensors=ckpt.tensors, config=config))
 
 
+class TestConfigValueRanges:
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", 0), ("learning_rate", -0.1), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")), ("momentum", -0.1), ("momentum", 1),
+        ("momentum", float("nan")), ("momentum", float("inf")), ("epochs", 0),
+        ("epochs", -3), ("patience", -1),
+    ])
+    def test_out_of_range_value_names_the_key(self, key, value):
+        with pytest.raises(UsageError, match=key):
+            TrainConfig.from_dict({key: value})
+
+    def test_range_ends_accepted(self):
+        cfg = TrainConfig.from_dict({"learning_rate": 1e-300, "momentum": 0.0,
+                                     "epochs": 1, "patience": 0})
+        assert (cfg.learning_rate, cfg.epochs, cfg.patience) == (1e-300, 1, 0)
+        assert TrainConfig.from_dict({"momentum": 0.999}).momentum == 0.999
+
+    def test_out_of_range_checkpoint_config_is_data_error(self, trained):
+        ckpt, _ = trained
+        config = dict(ckpt.config, train=dict(ckpt.config["train"], epochs=0))
+        with pytest.raises(DataError, match="epochs"):
+            evaluate(Checkpoint(tensors=ckpt.tensors, config=config), "test")
+
+
 def test_date_without_concept_links_is_data_error(market, small_config):
     panel, graph = market
     dropped = panel.usable_dates[1]
