@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataError
 
 MAGIC = b"MTMD"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -26,7 +26,6 @@ class Checkpoint:
     tensors: dict[str, np.ndarray]
     config: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
-    version: int = FORMAT_VERSION
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
@@ -34,7 +33,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
                       sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", ckpt.version))
+        fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(meta)))
         fh.write(meta)
         fh.write(struct.pack("<I", len(ckpt.tensors)))
@@ -49,8 +48,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint; a file that is truncated or does not follow the
-    layout raises :class:`DataError`."""
+    """Read a checkpoint of this or the previous format version; a file that
+    is truncated or does not follow the layout raises :class:`DataError`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -74,7 +73,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise DataError(f"{path}: corrupt checkpoint text at byte {offset - size}: {exc}") from None
 
     (version,) = take("<I")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     (meta_len,) = take("<I")
     try:
@@ -96,5 +95,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             n_elems *= d
         payload = take_bytes(n_elems * 8)
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
-    return Checkpoint(tensors=tensors, config=meta["config"], metrics=meta["metrics"],
-                      version=version)
+    if version == 1 and isinstance(meta["config"].get("train"), dict):
+        # version 1 stored the retired train key reset_banks_each_epoch,
+        # which only ever affected training
+        meta["config"]["train"].pop("reset_banks_each_epoch", None)
+    return Checkpoint(tensors=tensors, config=meta["config"], metrics=meta["metrics"])

@@ -10,13 +10,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (SyntheticSpec, generate_synthetic, write_concepts_csv,
                    write_panel_csv, write_truth_csv)
 from .errors import ContractError, DataError, NumericError, ShapeError, UsageError
 from .harness import TrainConfig, evaluate, export_embeddings, run_ablation, train
-from .model import check_config_keys
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,16 +57,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen_data(args) -> None:
-    try:
-        with open(args.spec, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"spec file not found: {args.spec}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"spec file {args.spec} is not valid JSON: {exc}") from None
-    check_config_keys(SyntheticSpec, raw)
-    spec = SyntheticSpec(**raw)
-    panel, graph, truth = generate_synthetic(spec)
+    panel, graph, truth = generate_synthetic(SyntheticSpec.from_json_file(args.spec))
     os.makedirs(args.out, exist_ok=True)
     write_panel_csv(panel, os.path.join(args.out, "panel.csv"))
     write_concepts_csv(graph, os.path.join(args.out, "concepts.csv"))
@@ -79,7 +70,7 @@ def _cmd_gen_data(args) -> None:
 def _cmd_train(args) -> None:
     config = TrainConfig.from_json_file(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config = replace(config, seed=args.seed)
 
     def progress(record):
         mark = " *" if record.improved else ""

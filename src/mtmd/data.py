@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Config, ranged
 from .encoder import FEATURE_WIDTH, FIELDS_PER_DAY, LOOKBACK_DAYS
 from .errors import DataError, ParseError
 
@@ -132,22 +133,14 @@ class ConceptGraph:
 
 
 @dataclass
-class SyntheticSpec:
-    n_stocks: int = 20
-    n_concepts: int = 4
-    n_dates: int = 300
-    membership_density: float = 0.3
-    factor_persistence: float = 0.95
-    noise_sigma: float = 0.02
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.n_stocks, self.n_concepts, self.n_dates) < 1:
-            raise DataError("synthetic spec counts must be >= 1")
-        if not 0.0 <= self.membership_density <= 1.0:
-            raise DataError("membership_density must lie in [0, 1]")
-        if not 0.0 <= self.factor_persistence < 1.0:
-            raise DataError("factor_persistence must lie in [0, 1)")
+class SyntheticSpec(Config):
+    n_stocks: int = ranged(20, ">= 1")
+    n_concepts: int = ranged(4, ">= 1")
+    n_dates: int = ranged(300, ">= 1")
+    membership_density: float = ranged(0.3, ">= 0, <= 1")
+    factor_persistence: float = ranged(0.95, ">= 0, < 1")
+    noise_sigma: float = ranged(0.02, "finite, >= 0")
+    seed: int = ranged(0, ">= 0")
 
 
 @dataclass
@@ -417,4 +410,6 @@ def load_concepts(path: str, known_stocks: set[str]) -> ConceptGraph:
                 dated.setdefault(date, set()).add((stock_id, concept_id))
             else:
                 static.add((stock_id, concept_id))
+    if not concept_ids:
+        raise ParseError(path, 1, "concept file has no stock-concept links")
     return ConceptGraph(sorted(concept_ids), static_links=static, dated_links=dated)

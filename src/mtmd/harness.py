@@ -9,7 +9,6 @@ seed: two runs with the same config produce byte-identical checkpoints.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -19,14 +18,15 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics as mx
 from .checkpoint import Checkpoint
+from .config import Config, ranged
 from .data import ConceptGraph, DateSlice, FeaturePanel, load_panel
 from .encoder import encode_rows
-from .errors import ContractError, DataError, NumericError, UsageError
+from .errors import DataError, NumericError, UsageError
 from .memory import MemoryBank
 # ``predict`` is no longer called here; it stays importable as ``harness.predict``
 # because benchmark/spans.py wraps it there
-from .model import (ModelConfig, ModelParams, check_config_keys, forward, init_banks,  # noqa: F401
-                    init_parameters, mse_loss, predict)
+from .model import (ModelConfig, ModelParams, forward, init_banks, init_parameters,  # noqa: F401
+                    mse_loss, predict)
 
 SPLITS = ("train", "valid", "test")
 EXPORT_STAGES = ("h1", "q1", "q2", "hhat3")
@@ -38,52 +38,22 @@ ENCODE_BLOCK_ROWS = 256
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Config):
     model: ModelConfig = field(default_factory=ModelConfig)
     panel_path: str | None = None
     concept_path: str | None = None
-    learning_rate: float = 2e-4
-    momentum: float = 0.0
-    epochs: int = 30
-    patience: int = 10
-    seed: int = 0
+    learning_rate: float = ranged(2e-4, "finite, > 0")
+    momentum: float = ranged(0.0, ">= 0, < 1")
+    epochs: int = ranged(30, ">= 1")
+    patience: int = ranged(10, ">= 0")
+    seed: int = ranged(0, ">= 0")
     train_end: str = ""
     valid_end: str = ""
-    reset_banks_each_epoch: bool = False
 
     def __post_init__(self):
-        # comparisons written so that nan fails them
-        for key, ok, expected in (
-                ("learning_rate", 0.0 < self.learning_rate < math.inf, "finite and > 0"),
-                ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
-                ("epochs", self.epochs >= 1, ">= 1"),
-                ("patience", self.patience >= 0, ">= 0")):
-            if not ok:
-                raise UsageError(f"TrainConfig key {key!r} must be {expected}, "
-                                 f"got {getattr(self, key)!r}")
+        super().__post_init__()
         if self.train_end and self.valid_end and not self.train_end < self.valid_end:
-            raise ContractError("split boundaries must satisfy train_end < valid_end")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        check_config_keys(cls, d)
-        d = dict(d)
-        model = ModelConfig.from_dict(d.pop("model", {}))
-        return cls(model=model, **d)
-
-    @classmethod
-    def from_json_file(cls, path: str) -> "TrainConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise UsageError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
-        return cls.from_dict(raw)
+            raise UsageError("split boundaries must satisfy train_end < valid_end")
 
 
 @dataclass
@@ -103,13 +73,7 @@ class TrainLog:
     wall_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "date_order": self.date_order,
-            "epochs": [vars(e) for e in self.epochs],
-            "best_epoch": self.best_epoch,
-            "best_valid_ic": self.best_valid_ic,
-            "wall_seconds": self.wall_seconds,
-        }
+        return asdict(self)
 
 
 def split_slices(panel: FeaturePanel, train_end: str, valid_end: str
@@ -201,7 +165,7 @@ def _checkpoint_config(ckpt: Checkpoint, cls, section: str):
     """One config section of a checkpoint; bad contents are a data error."""
     try:
         return cls.from_dict(ckpt.config.get(section, {}))
-    except (UsageError, ContractError) as exc:
+    except UsageError as exc:
         raise DataError(f"checkpoint {section} config is invalid: {exc}") from None
 
 
@@ -268,7 +232,6 @@ def train(config: TrainConfig, panel: FeaturePanel | None = None,
     model_cfg = replace(config.model, seed=config.seed)
     params = init_parameters(model_cfg)
     banks = init_banks(model_cfg)
-    fresh_banks = {k: b.copy() for k, b in banks.items()}
     optimizer = _Sgd(params.named(), config.learning_rate, config.momentum)
 
     log = TrainLog(date_order=[s.date for s in train_slices])
@@ -278,8 +241,6 @@ def train(config: TrainConfig, panel: FeaturePanel | None = None,
     started = time.monotonic()
 
     for epoch in range(config.epochs):
-        if config.reset_banks_each_epoch:
-            banks = {k: b.copy() for k, b in fresh_banks.items()}
         losses = []
         for s in train_slices:
             mask = graph.mask_for(s.date, s.stock_ids)

@@ -8,17 +8,17 @@ feature, which reproduces the memory-free baseline flow.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
-from typing import get_args, get_type_hints
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import concepts as cc
 from .autodiff import Tensor
+from .config import Config, ranged
 from .data import DateSlice
 from .encoder import EncoderParams, encode_panel, init_encoder
-from .errors import ContractError, DataError, NumericError, ShapeError, UsageError
+from .errors import ContractError, DataError, NumericError, ShapeError
 from .memory import MemoryBank, RetrievalState, global_aggregate, init_bank, memorize
 
 ABLATION_CODES = {
@@ -30,19 +30,15 @@ ABLATION_CODES = {
 
 
 @dataclass
-class ModelConfig:
-    embed_width: int = 64
-    memory_items: int = 16
-    concept_capacity: int | None = None
+class ModelConfig(Config):
+    embed_width: int = ranged(64, ">= 1")
+    memory_items: int = ranged(16, ">= 1")
+    concept_capacity: int | None = ranged(None, ">= 1")
     memory_predefined: bool = True
     memory_hidden: bool = True
-    leaky_slope: float = 0.01
+    leaky_slope: float = ranged(0.01, "finite")
     eval_writes: bool = False
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.embed_width < 1 or self.memory_items < 1:
-            raise ContractError("embed_width and memory_items must be >= 1")
+    seed: int = ranged(0, ">= 0")
 
     @property
     def ablation_code(self) -> str:
@@ -57,40 +53,6 @@ class ModelConfig:
         except KeyError:
             raise ContractError(f"unknown ablation code {code!r}; expected one of B/P/H/A") from None
         return replace(self, memory_predefined=pre, memory_hidden=hid)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        check_config_keys(cls, d)
-        return cls(**d)
-
-
-def check_config_keys(cls, d: dict) -> None:
-    """Raise a usage error unless ``d`` is a dict whose keys all name
-    fields of the config dataclass ``cls`` and whose values have those
-    fields' types.
-
-    An int is accepted where a float is expected; a bool is not a number.
-    A field that is itself a config dataclass is left to its own
-    ``from_dict``.
-    """
-    if not isinstance(d, dict):
-        raise UsageError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise UsageError(f"unknown {cls.__name__} keys: {unknown}")
-    hints = get_type_hints(cls)
-    for key, value in d.items():
-        if is_dataclass(hints[key]):
-            continue
-        declared = get_args(hints[key]) or (hints[key],)
-        allowed = declared + (int,) if float in declared else declared
-        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-            expected = " or ".join("null" if t is type(None) else t.__name__ for t in declared)
-            raise UsageError(f"{cls.__name__} key {key!r} must be {expected}, "
-                             f"got {type(value).__name__}")
 
 
 @dataclass

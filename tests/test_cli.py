@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mtmd.checkpoint import load_checkpoint, save_checkpoint
 from mtmd.cli import main
 from mtmd.data import load_panel
 from mtmd.harness import fraction_boundaries
@@ -69,6 +70,16 @@ class TestGenData:
         path.write_text(json.dumps(spec), encoding="utf-8")
         assert main(["gen-data", "--spec", str(path), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("key, value", [("seed", -1), ("noise_sigma", float("nan")),
+                                            ("noise_sigma", -1), ("n_stocks", 0),
+                                            ("membership_density", 1.5)])
+    def test_out_of_range_spec_value_is_usage_error(self, tmp_path, capsys, key, value):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n_dates": 70, key: value}), encoding="utf-8")
+        assert main(["gen-data", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_spec_is_usage_error(self, tmp_path):
         assert main(["gen-data", "--spec", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
@@ -115,7 +126,8 @@ class TestTrainEval:
         assert "embed_width" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("epochs", 0), ("learning_rate", float("inf")),
-                                            ("learning_rate", 0.0), ("momentum", 1.0)])
+                                            ("learning_rate", 0.0), ("momentum", 1.0),
+                                            ("seed", -1)])
     def test_out_of_range_config_value_is_usage_error(self, config_path, tmp_path, capsys,
                                                       key, value):
         cfg = json.loads(config_path.read_text(encoding="utf-8"))
@@ -126,6 +138,63 @@ class TestTrainEval:
         assert main(["train", "--config", str(bad), "--checkpoint", str(ckpt)]) == 1
         assert key in capsys.readouterr().err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("key, value", [("embed_width", 0), ("memory_items", 0),
+                                            ("leaky_slope", float("nan")),
+                                            ("concept_capacity", 0)])
+    def test_out_of_range_model_value_is_usage_error(self, config_path, tmp_path, capsys,
+                                                     key, value):
+        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        cfg["model"][key] = value
+        bad = tmp_path / "range.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        ckpt = tmp_path / "x.bin"
+        assert main(["train", "--config", str(bad), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and key in err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("ends", ["equal", "swapped"])
+    def test_split_boundaries_out_of_order_are_usage_error(self, config_path, tmp_path, capsys,
+                                                           ends):
+        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        if ends == "equal":
+            cfg["valid_end"] = cfg["train_end"]
+        else:
+            cfg["train_end"], cfg["valid_end"] = cfg["valid_end"], cfg["train_end"]
+        bad = tmp_path / "splits.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["train", "--config", str(bad), "--checkpoint", str(tmp_path / "x.bin")]) == 1
+        assert "train_end < valid_end" in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_usage_error(self, config_path, tmp_path, capsys):
+        ckpt = tmp_path / "x.bin"
+        assert main(["train", "--config", str(config_path), "--seed", "-3",
+                     "--checkpoint", str(ckpt)]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("section", ["model", "train"])
+    def test_eval_negative_checkpoint_seed_is_data_error(self, checkpoint_path, tmp_path, capsys,
+                                                         section):
+        ckpt = load_checkpoint(str(checkpoint_path))
+        ckpt.config[section]["seed"] = -1
+        bad = tmp_path / "seed.bin"
+        save_checkpoint(ckpt, str(bad))
+        assert main(["eval", "--checkpoint", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "seed" in err
+
+    def test_concept_file_without_links_is_data_error(self, config_path, tmp_path, capsys):
+        concepts = tmp_path / "concepts.csv"
+        concepts.write_text("concept_id,stock_id\n", encoding="utf-8")
+        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        cfg["concept_path"] = str(concepts)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["train", "--config", str(path), "--checkpoint", str(tmp_path / "x.bin")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and f"{concepts}:1" in err and "no stock-concept links" in err
 
     @pytest.mark.parametrize("column, name", [(2, "market cap"), (3, "price")])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

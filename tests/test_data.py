@@ -152,11 +152,11 @@ class TestLoadPanelValidation:
         assert first.raw_labels == pytest.approx([0.1, -0.1])
         assert graph.n_concepts == 1
 
-    def test_empty_concept_file_gives_zero_concepts(self, tmp_path):
+    def test_empty_concept_file_is_parse_error(self, tmp_path):
         ppath = _write(tmp_path / "p.csv", tiny_panel_text(["2020-01-01,A,1.0,100.0"]))
         cpath = _write(tmp_path / "c.csv", "concept_id,stock_id\n")
-        _, graph = md.load_panel(ppath, cpath)
-        assert graph.n_concepts == 0
+        with pytest.raises(ParseError, match=r"c\.csv:1: concept file has no stock-concept links"):
+            md.load_panel(ppath, cpath)
 
     def test_duplicate_row_named(self, tmp_path):
         text = tiny_panel_text([

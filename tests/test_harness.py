@@ -1,6 +1,8 @@
 import csv
 import json
+import struct
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mtmd import metrics as mx
-from mtmd.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from mtmd.checkpoint import FORMAT_VERSION, Checkpoint, load_checkpoint, save_checkpoint
+from mtmd.config import check_config
 from mtmd.data import ConceptGraph, SyntheticSpec, generate_synthetic
-from mtmd.errors import ContractError, DataError, NumericError, UsageError
+from mtmd.errors import DataError, NumericError, UsageError
 from mtmd.harness import (ENCODE_BLOCK_ROWS, TrainConfig, eval_traces, evaluate,
                           export_embeddings, fraction_boundaries, run_ablation, split_slices,
                           state_from_checkpoint, train)
-from mtmd.model import ModelConfig, check_config_keys, forward, init_banks, init_parameters
+from mtmd.model import ModelConfig, forward, init_banks, init_parameters
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +55,7 @@ class TestSplits:
         assert tr and va and te
 
     def test_bad_boundaries_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(UsageError, match="train_end < valid_end"):
             TrainConfig(train_end="2020-02-01", valid_end="2020-01-01")
 
 
@@ -284,7 +287,7 @@ class TestConfigValueTypes:
         taken = set().union(*(TAKES.get(part, {part}) for part in f.type.split(" | ")))
         value = data.draw(st.one_of(*(v for kind, v in JSON_VALUES.items() if kind not in taken)))
         with pytest.raises(UsageError, match=f.name):
-            check_config_keys(cls, {f.name: value})
+            check_config(cls, {f.name: value})
 
     def test_int_for_float_accepted_bool_for_int_rejected(self):
         assert TrainConfig.from_dict({"learning_rate": 1}).learning_rate == 1
@@ -322,6 +325,56 @@ class TestConfigValueRanges:
         config = dict(ckpt.config, train=dict(ckpt.config["train"], epochs=0))
         with pytest.raises(DataError, match="epochs"):
             evaluate(Checkpoint(tensors=ckpt.tensors, config=config), "test")
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class TestCheckpointVersion1:
+    """``fixtures/v1_width2.ckpt`` is a format-1 checkpoint saved by the code
+    before format 2: trained one epoch at width 2 with two memory items on
+    the ``market`` fixture (learning_rate 0.05, seed 4, the 60/20/20 split of
+    ``fraction_boundaries``), next to its test-split ``evaluate`` report and
+    ``export_embeddings`` file as that code wrote them."""
+
+    def test_scores_and_exports_the_same_bytes(self, market, tmp_path):
+        panel, graph = market
+        assert (FIXTURES / "v1_width2.ckpt").read_bytes()[4:8] == struct.pack("<I", 1)
+        ckpt = load_checkpoint(str(FIXTURES / "v1_width2.ckpt"))
+        assert "reset_banks_each_epoch" not in ckpt.config["train"]
+        report = tmp_path / "eval.csv"
+        evaluate(ckpt, "test", panel=panel, graph=graph).to_csv(str(report))
+        assert report.read_bytes() == (FIXTURES / "v1_width2_eval_test.csv").read_bytes()
+        export = tmp_path / "export.csv"
+        export_embeddings(ckpt, "test", str(export), panel=panel, graph=graph)
+        assert export.read_bytes() == (FIXTURES / "v1_width2_export_test.csv").read_bytes()
+
+    def test_saved_again_as_current_version(self, tmp_path):
+        ckpt = load_checkpoint(str(FIXTURES / "v1_width2.ckpt"))
+        path = tmp_path / "v2.ckpt"
+        save_checkpoint(ckpt, str(path))
+        assert path.read_bytes()[4:8] == struct.pack("<I", FORMAT_VERSION) == struct.pack("<I", 2)
+        again = load_checkpoint(str(path))
+        assert again.config == ckpt.config
+        for name, tensor in ckpt.tensors.items():
+            assert again.tensors[name].tobytes() == tensor.tobytes()
+
+    def test_retired_key_in_current_version_is_data_error(self, market, tmp_path):
+        panel, graph = market
+        ckpt = load_checkpoint(str(FIXTURES / "v1_width2.ckpt"))
+        ckpt.config["train"]["reset_banks_each_epoch"] = False
+        path = tmp_path / "v2.ckpt"
+        save_checkpoint(ckpt, str(path))
+        with pytest.raises(DataError, match="reset_banks_each_epoch"):
+            evaluate(load_checkpoint(str(path)), "test", panel=panel, graph=graph)
+
+    def test_unknown_version_is_data_error(self, tmp_path):
+        blob = bytearray((FIXTURES / "v1_width2.ckpt").read_bytes())
+        blob[4:8] = struct.pack("<I", 3)
+        path = tmp_path / "v3.ckpt"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="version 3"):
+            load_checkpoint(str(path))
 
 
 def test_date_without_concept_links_is_data_error(market, small_config):
