@@ -50,8 +50,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint of this or the previous format version; a file that
     is truncated or does not follow the layout raises :class:`DataError`."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc.strerror}") from None
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
     offset = 4

@@ -141,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an output path that cannot be written
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, ContractError, ShapeError) as exc:

@@ -81,6 +81,8 @@ class Config:
                 raw = json.load(fh)
         except FileNotFoundError:
             raise UsageError(f"config file not found: {path}") from None
+        except OSError as exc:  # a directory, or no permission to read
+            raise UsageError(f"cannot read config file {path}: {exc.strerror}") from None
         except ValueError as exc:  # bad JSON or UTF-8, or an int too long to parse
             raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
         return cls.from_dict(raw)

@@ -23,6 +23,7 @@ mean, so magnitudes are O(1).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import math
@@ -256,53 +257,71 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[FeaturePanel, ConceptGraph,
 # ---------------------------------------------------------------------------
 # CSV writing
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def quote_cell(text: str) -> str:
+    """``text`` as a cell of a row of two or more that ``csv.writer`` writes
+    in its default dialect: quoted if it holds a comma, quote or line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(texts, numbers=()) -> str:
+    """A row of two or more cells as ``csv.writer`` writes it: the text cells,
+    then each float's ``repr``, its shortest exact literal, never quoted."""
+    return ",".join([*map(quote_cell, texts), *map(repr, numbers)]) + "\r\n"
 
 
 def write_panel_csv(panel: FeaturePanel, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(PANEL_BASE_COLUMNS) + list(FEATURE_COLUMNS))
+        fh.write(_csv_line(PANEL_BASE_COLUMNS + FEATURE_COLUMNS))
         for s in panel.slices:
-            for i, stock_id in enumerate(s.stock_ids):
-                row = [s.date, stock_id, _fmt(s.market_caps[i]), _fmt(s.prices[i])]
-                row.extend(_fmt(v) for v in s.features[i])
-                writer.writerow(row)
+            for stock_id, cap, price, feats in zip(s.stock_ids, s.market_caps.tolist(),
+                                                   s.prices.tolist(), s.features.tolist()):
+                fh.write(_csv_line((s.date, stock_id), (cap, price, *feats)))
 
 
 def write_concepts_csv(graph: ConceptGraph, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
         if graph.dated_links:
-            writer.writerow(["concept_id", "stock_id", "date"])
+            fh.write(_csv_line(("concept_id", "stock_id", "date")))
             for date in sorted(graph.dated_links):
                 for stock_id, concept_id in sorted(graph.dated_links[date]):
-                    writer.writerow([concept_id, stock_id, date])
+                    fh.write(_csv_line((concept_id, stock_id, date)))
             for stock_id, concept_id in sorted(graph.static_links):
-                writer.writerow([concept_id, stock_id, ""])
+                fh.write(_csv_line((concept_id, stock_id, "")))
         else:
-            writer.writerow(["concept_id", "stock_id"])
+            fh.write(_csv_line(("concept_id", "stock_id")))
             for stock_id, concept_id in sorted(graph.static_links):
-                writer.writerow([concept_id, stock_id])
+                fh.write(_csv_line((concept_id, stock_id)))
 
 
 def write_truth_csv(truth: SyntheticTruth, membership_path: str, factors_path: str) -> None:
     with open(membership_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["concept_id", "stock_id"])
+        fh.write(_csv_line(("concept_id", "stock_id")))
         for i, j in zip(*np.nonzero(truth.membership)):
-            writer.writerow([truth.concept_ids[j], truth.stock_ids[i]])
+            fh.write(_csv_line((truth.concept_ids[j], truth.stock_ids[i])))
     with open(factors_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "concept_id", "value"])
-        for t, date in enumerate(truth.dates):
-            for j, concept_id in enumerate(truth.concept_ids):
-                writer.writerow([date, concept_id, _fmt(truth.factors[t, j])])
+        fh.write(_csv_line(("date", "concept_id", "value")))
+        for date, values in zip(truth.dates, truth.factors.tolist()):
+            for concept_id, value in zip(truth.concept_ids, values):
+                fh.write(_csv_line((date, concept_id), (value,)))
 
 
 # ---------------------------------------------------------------------------
 # CSV loading
+
+@contextlib.contextmanager
+def _csv_reader(path: str):
+    """A ``csv.reader`` over a UTF-8 file; a file that cannot be opened,
+    decoded or split into rows is a :class:`DataError` naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield csv.reader(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path} is not a well-formed UTF-8 CSV file: {exc}") from None
+
 
 def _parse_float(path: str, line: int, column: str, text: str) -> float:
     try:
@@ -320,8 +339,7 @@ def load_panel(panel_path: str, concept_path: str) -> tuple[FeaturePanel, Concep
     """
     expected = list(PANEL_BASE_COLUMNS) + list(FEATURE_COLUMNS)
     by_date: dict[str, dict[str, tuple[int, float, float, np.ndarray]]] = {}
-    with open(panel_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(panel_path) as reader:
         header = next(reader, None)
         if header != expected:
             raise ParseError(panel_path, 1,
@@ -337,10 +355,15 @@ def load_panel(panel_path: str, concept_path: str) -> tuple[FeaturePanel, Concep
                 datetime.date.fromisoformat(date)
             except ValueError:
                 raise ParseError(panel_path, line, f"date {date!r} is not ISO-8601") from None
-            cap = _parse_float(panel_path, line, "market_cap", row[2])
-            price = _parse_float(panel_path, line, "price", row[3])
-            feats = np.array([_parse_float(panel_path, line, FEATURE_COLUMNS[i], v)
-                              for i, v in enumerate(row[4:])])
+            try:
+                values = np.array(row[2:], dtype=np.float64)
+            except ValueError:
+                # the per-cell pass names the first bad cell; if it finds
+                # none, numpy refused a spelling float() accepts
+                values = np.array([_parse_float(panel_path, line, column, text)
+                                   for column, text in zip(expected[2:], row[2:])])
+            cap, price = values[:2].tolist()
+            feats = values[2:]
             stocks = by_date.setdefault(date, {})
             if stock_id in stocks:
                 raise ParseError(panel_path, line, f"duplicate row for ({date}, {stock_id})")
@@ -390,8 +413,7 @@ def load_concepts(path: str, known_stocks: set[str]) -> ConceptGraph:
     static: set[tuple[str, str]] = set()
     dated: dict[str, set[tuple[str, str]]] = {}
     concept_ids: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header not in (["concept_id", "stock_id"], ["concept_id", "stock_id", "date"]):
             raise ParseError(path, 1, "bad concept header; expected concept_id,stock_id[,date]")

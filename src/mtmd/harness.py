@@ -19,7 +19,7 @@ from . import autodiff as ad
 from . import metrics as mx
 from .checkpoint import Checkpoint
 from .config import Config, ranged
-from .data import ConceptGraph, DateSlice, FeaturePanel, load_panel
+from .data import ConceptGraph, DateSlice, FeaturePanel, load_panel, quote_cell
 from .encoder import encode_rows
 from .errors import DataError, NumericError, UsageError
 from .memory import MemoryBank
@@ -380,9 +380,10 @@ def export_embeddings(ckpt: Checkpoint, split: str, out_path: str,
                 "q2": trace.hidden.refined.data,
                 "hhat3": trace.individual.local.data,
             }
+            keys = [f"{quote_cell(s.date)},{quote_cell(stock_id)}," for stock_id in s.stock_ids]
             for stage in EXPORT_STAGES:
                 # repr of a Python float is the shortest literal that reads back exactly
-                for stock_id, values in zip(s.stock_ids, stage_data[stage].tolist()):
-                    fh.write(f"{s.date},{stock_id},{stage}," + ",".join(map(repr, values)) + "\n")
+                for key, values in zip(keys, stage_data[stage].tolist()):
+                    fh.write(f"{key}{stage}," + ",".join(map(repr, values)) + "\n")
                     rows += 1
     return rows

@@ -139,7 +139,7 @@ def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams
     if not mask.any():
         raise DataError(f"date {date_slice.date} has no stock-concept links")
     if config.concept_capacity is not None and n_concepts != config.concept_capacity:
-        raise ContractError(
+        raise DataError(
             f"date {date_slice.date} has {n_concepts} concepts, config expects "
             f"{config.concept_capacity}"
         )

@@ -3,12 +3,14 @@
 Everything here is deliberately brute-force and shares no code with the
 package: central finite differences for gradients, a GRU step and its
 backpropagation through time written from the textbook equations,
-direct-formula Pearson, enumeration-based average ranks, and naive top-N
-counting.
+direct-formula Pearson, enumeration-based average ranks, naive top-N
+counting, and a panel CSV reader and writer that convert one cell at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import datetime
 import math
 from typing import Callable
 
@@ -163,3 +165,90 @@ def precision_top_n_naive(pred: np.ndarray, positive: np.ndarray, n: int) -> flo
         taken.append(best)
     hits = sum(1 for i in taken if positive[i])
     return 100.0 * hits / len(taken)
+
+
+PANEL_HEADER = (["date", "stock_id", "market_cap", "price"]
+                + [f"f{i:03d}" for i in range(360)])
+
+
+def write_panel_reference(panel, path: str) -> None:
+    """Write a panel as ``csv.writer`` rows of text cells and ``repr`` floats."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(PANEL_HEADER)
+        for s in panel.slices:
+            for i, stock_id in enumerate(s.stock_ids):
+                writer.writerow([s.date, stock_id, repr(float(s.market_caps[i])),
+                                 repr(float(s.prices[i]))]
+                                + [repr(float(v)) for v in s.features[i]])
+
+
+def load_panel_reference(path: str) -> list[dict]:
+    """Read a panel CSV with ``float()`` per cell and the checks of the
+    package's loader, in its order.
+
+    Returns one dict per date, in date order, with ``date``, ``stock_ids``,
+    ``market_caps``, ``prices``, ``features``, ``raw_labels`` and ``labels``
+    (both None on the last date).  A file the package must reject raises
+    ``ValueError`` carrying the message the package's error must carry.
+    """
+    by_date: dict[str, dict[str, tuple]] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != PANEL_HEADER:
+            raise ValueError(f"{path}:1: bad panel header; expected "
+                             f"{PANEL_HEADER[:5]}...{PANEL_HEADER[-1]!r}")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(PANEL_HEADER):
+                raise ValueError(f"{path}:{line}: expected {len(PANEL_HEADER)} columns, "
+                                 f"got {len(row)}")
+            date, stock_id = row[0], row[1]
+            try:
+                datetime.date.fromisoformat(date)
+            except ValueError:
+                raise ValueError(f"{path}:{line}: date {date!r} is not ISO-8601") from None
+            values = []
+            for column, text in zip(PANEL_HEADER[2:], row[2:]):
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise ValueError(f"{path}:{line}: non-numeric value {text!r} "
+                                     f"in column {column!r}") from None
+            cap, price = values[0], values[1]
+            if stock_id in by_date.setdefault(date, {}):
+                raise ValueError(f"{path}:{line}: duplicate row for ({date}, {stock_id})")
+            if not (cap > 0.0 and math.isfinite(cap)):
+                raise ValueError(f"{path}:{line}: market cap must be finite and positive, "
+                                 f"got {cap}")
+            if not (price > 0.0 and math.isfinite(price)):
+                raise ValueError(f"{path}:{line}: price must be finite and positive, "
+                                 f"got {price}")
+            by_date[date][stock_id] = (line, cap, price, values[2:])
+    if not by_date:
+        raise ValueError(f"{path}:1: panel file has no data rows")
+    dates = sorted(by_date)
+    universe = sorted(by_date[dates[0]])
+    for date in dates[1:]:
+        if sorted(by_date[date]) != universe:
+            first = min(entry[0] for entry in by_date[date].values())
+            raise ValueError(f"{path}:{first}: stock universe on {date} differs from {dates[0]}")
+    out = []
+    for k, date in enumerate(dates):
+        rows = [by_date[date][s] for s in universe]
+        features = np.array([r[3] for r in rows])
+        if not np.all(np.isfinite(features)):
+            raise ValueError(f"{date}: non-finite feature values")
+        raw = labels = None
+        if k + 1 < len(dates):
+            nxt = [by_date[dates[k + 1]][s][2] for s in universe]
+            raw = np.array([(p1 - r[2]) / r[2] for r, p1 in zip(rows, nxt)])
+            std = raw.std()
+            labels = np.zeros_like(raw) if raw.size <= 1 or std < 1e-12 \
+                else (raw - raw.mean()) / std
+        out.append({"date": date, "stock_ids": universe,
+                    "market_caps": np.array([r[1] for r in rows]),
+                    "prices": np.array([r[2] for r in rows]),
+                    "features": features, "raw_labels": raw, "labels": labels})
+    return out

@@ -221,6 +221,70 @@ class TestTrainEval:
         assert other.read_bytes() != checkpoint_path.read_bytes()
 
 
+def _train_with(config_path, tmp_path, model=None, **changes):
+    """Exit code of ``mtmd train`` on the test config with ``changes`` applied."""
+    cfg = json.loads(config_path.read_text(encoding="utf-8"))
+    cfg.update(changes)
+    cfg["model"].update(model or {})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return main(["train", "--config", str(path), "--checkpoint", str(tmp_path / "x.bin")])
+
+
+class TestFileBoundary:
+    def test_config_directory_is_usage_error(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and str(tmp_path) in err
+
+    @pytest.mark.parametrize("key", ["panel_path", "concept_path"])
+    def test_data_path_naming_a_directory_is_data_error(self, config_path, tmp_path, capsys, key):
+        assert _train_with(config_path, tmp_path, **{key: str(tmp_path)}) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(tmp_path) in err
+
+    def test_eval_checkpoint_directory_is_data_error(self, tmp_path, capsys):
+        assert main(["eval", "--checkpoint", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(tmp_path) in err
+
+    @pytest.mark.parametrize("key, name", [("panel_path", "panel.csv"),
+                                           ("concept_path", "concepts.csv")])
+    def test_non_utf8_byte_is_data_error(self, data_dir, config_path, tmp_path, capsys, key, name):
+        blob = bytearray((data_dir / name).read_bytes())
+        blob[-4] = 0xFF
+        bad = tmp_path / name
+        bad.write_bytes(bytes(blob))
+        assert _train_with(config_path, tmp_path, **{key: str(bad)}) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and f"{bad} is not a well-formed UTF-8 CSV file" in err
+
+    def test_unterminated_quote_is_data_error(self, data_dir, config_path, tmp_path, capsys):
+        # the quoted field runs to the end of the file, past csv's field size limit
+        header, rest = (data_dir / "panel.csv").read_text(encoding="utf-8").split("\n", 1)
+        bad = tmp_path / "panel.csv"
+        bad.write_text(f'{header}\n"{rest}', encoding="utf-8")
+        assert _train_with(config_path, tmp_path, panel_path=str(bad)) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and f"{bad} is not a well-formed UTF-8 CSV file" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "export-embeddings"])
+    def test_output_path_naming_a_directory_is_data_error(self, config_path, checkpoint_path,
+                                                          tmp_path, capsys, command):
+        args = {"train": ["--config", str(config_path), "--checkpoint", str(tmp_path)],
+                "eval": ["--checkpoint", str(checkpoint_path), "--out", str(tmp_path)],
+                "export-embeddings": ["--checkpoint", str(checkpoint_path),
+                                      "--out", str(tmp_path)]}[command]
+        assert main([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(tmp_path) in err
+
+    def test_concept_capacity_mismatch_is_data_error(self, config_path, tmp_path, capsys):
+        assert _train_with(config_path, tmp_path, model={"concept_capacity": 3}) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "has 2 concepts, config expects 3" in err
+
+
 class TestAblate:
     def test_four_row_table_and_csv(self, data_dir, config_path, capsys):
         out_csv = data_dir / "ablation.csv"

@@ -1,4 +1,7 @@
+import csv
+
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,3 +213,110 @@ class TestLoadPanelValidation:
         m2 = graph.mask_for("2020-01-02", ["A"])
         assert m1.tolist() == [[True, True]]
         assert m2.tolist() == [[False, True]]
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def base_rows(scratch):
+    """The rows of a written 3-date, 3-stock panel, and its concept file."""
+    panel, graph, _ = md.generate_synthetic(md.SyntheticSpec(n_stocks=3, n_concepts=2,
+                                                             n_dates=63, seed=7))
+    md.write_panel_csv(panel, str(scratch / "base.csv"))
+    md.write_concepts_csv(graph, str(scratch / "concepts.csv"))
+    with open(scratch / "base.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh)), str(scratch / "concepts.csv")
+
+
+def assert_loads_like_reference(panel_path, concept_path):
+    """``load_panel`` returns the reference loader's panel bit for bit, or
+    raises a DataError with the message the reference rejects the file with."""
+    try:
+        want = oracles.load_panel_reference(panel_path)
+    except ValueError as exc:
+        with pytest.raises(DataError) as info:
+            md.load_panel(panel_path, concept_path)
+        assert str(info.value) == str(exc)
+        return
+    panel, _ = md.load_panel(panel_path, concept_path)
+    assert panel.dates == [w["date"] for w in want]
+    for s, w in zip(panel.slices, want):
+        assert s.stock_ids == w["stock_ids"]
+        for name in ("features", "market_caps", "prices", "raw_labels", "labels"):
+            got, ref = getattr(s, name), w[name]
+            assert (got is None) == (ref is None), name
+            if ref is not None:
+                assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
+                assert got.tobytes() == ref.tobytes(), name
+
+
+NUMBER_CORRUPTIONS = st.one_of(
+    st.sampled_from(["abc", "1_000", "1__0", "_1", "1_", " 1.5", "1.5 ", "\t2.0\n", "\u00a03",
+                     "\u0661\u0662", "\u0967.\u096b", "\uff11", "nan", "-NaN", "inf", "-Infinity",
+                     "+inf", "iNf", "1e999", "-1e999", "0", "0.0", "-0.0", "-1", "-2.5e-3",
+                     "1e-400", "", " ", "0x10", "1,5", '"1"', "1e", "--1"]),
+    st.floats().map(repr),
+    st.text(max_size=8),
+)
+DATE_CORRUPTIONS = st.one_of(
+    st.sampled_from(["2018-13-01", "01/03/2018", "", "2018-03-0x", " 2018-03-02", "20180302",
+                     "2018-03-02", "2018-03-03", "2030-01-01"]),
+    st.text(max_size=12),
+)
+
+
+class TestLoadPanelFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_corrupt_cell_loads_like_reference(self, base_rows, scratch, data):
+        rows, concept_path = base_rows
+        rows = [list(r) for r in rows]
+        line = data.draw(st.integers(1, len(rows) - 1), label="row")
+        column = data.draw(st.sampled_from([0] + list(range(2, len(rows[0])))), label="column")
+        rows[line][column] = data.draw(DATE_CORRUPTIONS if column == 0 else NUMBER_CORRUPTIONS,
+                                       label="text")
+        path = scratch / "corrupt.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        assert_loads_like_reference(str(path), concept_path)
+
+    def test_unmodified_panel_loads_like_reference(self, base_rows, scratch):
+        assert_loads_like_reference(str(scratch / "base.csv"), base_rows[1])
+
+
+STOCK_ID_TEXT = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)),
+                                  st.sampled_from([",", '"', "\r", "\n", " "])), max_size=6)
+
+
+class TestWritePanelFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(STOCK_ID_TEXT, min_size=1, max_size=4, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_quoted_ids_write_like_csv_writer_and_round_trip(self, scratch, ids, seed):
+        ids = sorted(ids)
+        rng = np.random.default_rng(seed)
+        slices = []
+        for date in ("2020-01-01", "2020-01-02"):
+            feats = rng.normal(size=(len(ids), md.FEATURE_WIDTH))
+            feats *= 10.0 ** rng.integers(-300, 300, size=feats.shape)
+            feats[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+            slices.append(md.DateSlice(date=date, stock_ids=list(ids), features=feats,
+                                       market_caps=rng.lognormal(size=len(ids)),
+                                       prices=rng.lognormal(size=len(ids))))
+        panel = md.FeaturePanel(slices)
+        got, want = scratch / "ids.csv", scratch / "ids_ref.csv"
+        md.write_panel_csv(panel, str(got))
+        oracles.write_panel_reference(panel, str(want))
+        assert got.read_bytes() == want.read_bytes()
+
+        concepts = scratch / "ids_concepts.csv"
+        with open(concepts, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["concept_id", "stock_id"], ["C", ids[0]]])
+        loaded, _ = md.load_panel(str(got), str(concepts))
+        for a, b in zip(panel.slices, loaded.slices):
+            assert b.stock_ids == ids
+            for name in ("features", "market_caps", "prices"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mtmd import metrics as mx
 from mtmd.checkpoint import FORMAT_VERSION, Checkpoint, load_checkpoint, save_checkpoint
 from mtmd.config import check_config
-from mtmd.data import ConceptGraph, SyntheticSpec, generate_synthetic
+from mtmd.data import ConceptGraph, FeaturePanel, SyntheticSpec, generate_synthetic
 from mtmd.errors import DataError, NumericError, UsageError
 from mtmd.harness import (ENCODE_BLOCK_ROWS, TrainConfig, eval_traces, evaluate,
                           export_embeddings, fraction_boundaries, run_ablation, split_slices,
@@ -224,6 +224,23 @@ class TestExportEmbeddings:
         assert len(lines) == 1 + rows
         stages = {line.split(",")[2] for line in lines[1:]}
         assert stages == {"h1", "q1", "q2", "hhat3"}
+
+    def test_stock_ids_needing_quotes_read_back(self, market, small_config, tmp_path):
+        panel, graph = market
+        rename = {sid: f'S,{sid[1:]} "{i}"' + ("\n" if i % 2 else "")
+                  for i, sid in enumerate(panel.slices[0].stock_ids)}
+        panel = FeaturePanel([replace(s, stock_ids=[rename[sid] for sid in s.stock_ids])
+                              for s in panel.slices])
+        graph = ConceptGraph(graph.concept_ids,
+                             static_links={(rename[sid], c) for sid, c in graph.static_links})
+        ckpt, _ = train(replace(small_config, epochs=1), panel=panel, graph=graph)
+        out = tmp_path / "emb.csv"
+        rows = export_embeddings(ckpt, "test", str(out), panel=panel, graph=graph)
+        with open(out, newline="", encoding="utf-8") as fh:
+            records = list(csv.reader(fh))
+        assert len(records) == 1 + rows
+        assert {len(r) for r in records} == {3 + 6}
+        assert {r[1] for r in records[1:]} == set(rename.values())
 
     def test_reexport_byte_identical(self, market, trained, tmp_path):
         panel, graph = market

@@ -191,7 +191,7 @@ class TestForward:
     def test_concept_capacity_checked(self):
         config = mm.ModelConfig(embed_width=4, memory_items=2, concept_capacity=5, seed=0)
         rng, params, banks = build(config)
-        with pytest.raises(ContractError, match="concepts"):
+        with pytest.raises(DataError, match="config expects 5"):
             mm.forward(tiny_slice(rng), tiny_mask(rng), params, banks, config)
 
     def test_residual_fuzz_on_synthetic_market(self):
