@@ -9,8 +9,11 @@ which side runs first.  The parent's checkout is made with ``git archive``
 in a temporary directory outside the repository and removed at the end.
 
 The JSON file, rewritten after every pair, holds per workload and
-end-to-end metric each side's runs, median and quartiles and the number of
-pairs in which the working tree read better (ties count for neither side);
+end-to-end metric each side's runs, median and quartiles, the number of
+pairs in which the working tree read better (ties count for neither side),
+the metric's bound from ``BENCHMARK.json``, the change/parent median ratio,
+and an ``unresolved`` flag for a metric whose parent runs spread wider than
+its bound;
 the seconds per round of each benchmark stage, parsed from the ``stage``
 lines, and the rounds of each run; whether the two sides printed the same
 checkpoint hashes; and the host's CPU model and core count, the numpy
@@ -106,15 +109,30 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def workload_record(pairs: list[dict], better: dict[str, str]) -> dict:
+def metric_record(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Both sides' runs of one metric, the change/parent median ratio, and
+    whether the parent's own quartile spread (relative to its median) is
+    wider than the metric's bound, so that the pairs cannot tell a change
+    within the bound from none: such a metric is ``unresolved`` unless
+    every run of the change reads better than every run of the parent."""
+    sign = 1.0 if better == "higher" else -1.0
+    sides = {"parent": summarize(parent), "change": summarize(change)}
+    base = sides["parent"]
+    spread = (base["q3"] - base["q1"]) / base["median"]
+    all_better = min(change) > max(parent) if better == "higher" else max(change) < min(parent)
+    return {"better": better, "bound": bound,
+            "pairs_won_by_change": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "ratio": sides["change"]["median"] / base["median"],
+            "parent_spread": spread, "unresolved": spread > bound and not all_better,
+            **sides}
+
+
+def workload_record(pairs: list[dict], end_to_end: dict[str, dict]) -> dict:
     sides = ("parent", "change")
-    metrics = {}
-    for name, direction in better.items():
-        values = {side: [p[side]["metrics"][name] for p in pairs] for side in sides}
-        sign = 1.0 if direction == "higher" else -1.0
-        won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-        metrics[name] = {"better": direction, "pairs_won_by_change": won,
-                         **{side: summarize(values[side]) for side in sides}}
+    metrics = {name: metric_record([p["parent"]["metrics"][name] for p in pairs],
+                                   [p["change"]["metrics"][name] for p in pairs],
+                                   spec["better"], spec["bound"])
+               for name, spec in end_to_end.items()}
     stages = {}
     for side in sides:
         names = sorted({k for p in pairs for k in p[side]["stage_s_per_round"]})
@@ -162,7 +180,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     workloads = parse_workloads(args.workload)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
     parent_rev = git("rev-parse", args.parent)
     record = {
@@ -192,7 +210,7 @@ def main(argv=None) -> int:
                     print(f"{name} seed={seed} {side} ...", file=sys.stderr, flush=True)
                     pair[side] = run_benchmark(trees[side], name, seed, args.seconds)
                 pairs.append(pair)
-                record["workloads"][name] = workload_record(pairs, better)
+                record["workloads"][name] = workload_record(pairs, end_to_end)
                 with open(args.out, "w", encoding="utf-8") as fh:
                     json.dump(record, fh, indent=2, sort_keys=True)
                     fh.write("\n")

@@ -190,19 +190,6 @@ def mean_all(a) -> Tensor:
     return multiply(reduce_sum(a), 1.0 / a.data.size)
 
 
-def last_step(seq) -> Tensor:
-    """Select the final slice along axis 0 of a stacked sequence."""
-    seq = as_tensor(seq)
-    shape = seq.data.shape
-
-    def grad_fn(g):
-        full = np.zeros(shape)
-        full[-1] = g
-        return (full,)
-
-    return _node(seq.data[-1].copy(), (seq,), grad_fn)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -263,23 +250,6 @@ def masked_softmax(a, mask: np.ndarray, axis: int) -> Tensor:
     def grad_fn(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - inner),)
-
-    return _node(out, (a,), grad_fn)
-
-
-def l2_normalize_rows(a, eps: float = EPS) -> Tensor:
-    """Divide each row by max(row norm, eps)."""
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"l2_normalize_rows expects a matrix, got shape {a.data.shape}")
-    norms = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
-    big = norms > eps
-    denom = np.where(big, norms, eps)
-    out = a.data / denom
-
-    def grad_fn(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
-        return (np.where(big, (g - out * inner) / denom, g / eps),)
 
     return _node(out, (a,), grad_fn)
 

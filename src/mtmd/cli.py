@@ -67,10 +67,25 @@ def _cmd_gen_data(args) -> None:
           f"concepts.csv, membership.csv, factors.csv to {args.out}")
 
 
+def _check_output_path(path: str) -> None:
+    """Raise a DataError now, before a long run, if no file can be written
+    at ``path``; nothing is created or truncated."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise DataError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(folder):
+        raise DataError(f"cannot write {path}: no directory {folder}")
+    if not os.access(folder, os.W_OK):
+        raise DataError(f"cannot write {path}: directory {folder} is not writable")
+
+
 def _cmd_train(args) -> None:
     config = TrainConfig.from_json_file(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
+    for path in (args.checkpoint, args.log):
+        if path:
+            _check_output_path(path)
 
     def progress(record):
         mark = " *" if record.improved else ""

@@ -344,9 +344,10 @@ def load_panel(panel_path: str, concept_path: str) -> tuple[FeaturePanel, Concep
         if header != expected:
             raise ParseError(panel_path, 1,
                              f"bad panel header; expected {expected[:5]}...{expected[-1]!r}")
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            line = reader.line_num  # a quoted cell may hold line breaks
             if len(row) != len(expected):
                 raise ParseError(panel_path, line,
                                  f"expected {len(expected)} columns, got {len(row)}")
@@ -418,9 +419,10 @@ def load_concepts(path: str, known_stocks: set[str]) -> ConceptGraph:
         if header not in (["concept_id", "stock_id"], ["concept_id", "stock_id", "date"]):
             raise ParseError(path, 1, "bad concept header; expected concept_id,stock_id[,date]")
         has_date = len(header) == 3
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            line = reader.line_num  # a quoted cell may hold line breaks
             if len(row) != len(header):
                 raise ParseError(path, line, f"expected {len(header)} columns, got {len(row)}")
             concept_id, stock_id = row[0], row[1]

@@ -4,8 +4,10 @@ Each feature row is reshaped into a 60-step sequence of 6 fields (oldest
 step first) and pushed through two stacked recurrence layers; the final
 hidden state of the top layer is the stock's temporal embedding.
 
-The per-sequence recurrence runs as a single fused tape node
-(:func:`gru_sequence`) with a hand-written backward pass.
+Each layer is a plain forward over arrays (:func:`layer_forward`, which
+saves the gate arrays) and a hand-written backward through time
+(:func:`layer_backward`).  :func:`encode_panel` puts the whole encoder on
+the tape as one node with the encoder weights as its parents;
 :func:`encode_rows` runs the same forward step off the tape, for scoring
 and export where no gradient is needed.
 """
@@ -143,122 +145,127 @@ def _gru_step(h: np.ndarray, xi: np.ndarray, u_zr: np.ndarray, uc: np.ndarray,
     return (1.0 - z) * c + z * h, z, r, c, hl
 
 
-def gru_sequence(x_seq: Tensor, h0: Tensor, layer: GruLayerParams) -> Tensor:
-    """Run one recurrence layer over a [steps, batch, d_in] sequence.
+def layer_forward(x_seq: np.ndarray, layer: GruLayerParams):
+    """Run one layer from a zero state over a [steps, batch, d_in] sequence.
 
-    Returns the full hidden-state sequence [steps, batch, hidden] as a
-    single tape node whose backward implements truncation-free BPTT.
+    Returns the states [steps + 1, batch, hidden] (``states[0]`` is zero)
+    and the update gate, reset gate, candidate and candidate recurrent term
+    of each step, each [steps, batch, hidden], for :func:`layer_backward`.
     """
-    x_seq = ad.as_tensor(x_seq)
-    h0 = ad.as_tensor(h0)
-    if x_seq.data.ndim != 3:
-        raise ShapeError(f"gru_sequence expects [steps, batch, d_in], got {x_seq.data.shape}")
-    steps, batch, d_in = x_seq.data.shape
+    if x_seq.ndim != 3 or x_seq.shape[2] != layer.input_width:
+        raise ShapeError(f"layer expects [steps, batch, {layer.input_width}], got {x_seq.shape}")
+    steps, batch, d_in = x_seq.shape
     hidden = layer.hidden_width
-    if d_in != layer.input_width:
-        raise ShapeError(f"sequence width {d_in} != layer input width {layer.input_width}")
-    if h0.data.shape != (batch, hidden):
-        raise ShapeError(f"initial state shape {h0.data.shape} != ({batch}, {hidden})")
-
-    wz, uz = layer.update_x.data, layer.update_h.data
-    wr, ur = layer.reset_x.data, layer.reset_h.data
-    wc, uc = layer.cand_x.data, layer.cand_h.data
-    w_x, b_x, u_zr, _, bch = _forward_weights(layer)
+    w_x, b_x, u_zr, uc, bch = _forward_weights(layer)
 
     # input-side projections for the whole sequence in one shot
-    xi = (x_seq.data.reshape(steps * batch, d_in) @ w_x.T).reshape(steps, batch, 3 * hidden) + b_x
+    xi = (x_seq.reshape(steps * batch, d_in) @ w_x.T).reshape(steps, batch, 3 * hidden) + b_x
 
-    states = np.empty((steps + 1, batch, hidden))
-    states[0] = h0.data
-    zs = np.empty((steps, batch, hidden))
-    rs = np.empty((steps, batch, hidden))
-    cands = np.empty((steps, batch, hidden))
-    cand_h_lin = np.empty((steps, batch, hidden))
+    states = np.zeros((steps + 1, batch, hidden))
+    # four arrays, not one [4, steps, batch, hidden] block: under glibc's
+    # malloc, one 25 MB block per layer (100 stocks, width 128) raised the
+    # peak RSS of a training run by 10%
+    gates = tuple(np.empty((steps, batch, hidden)) for _ in range(4))
+    zs, rs, cands, cand_h_lin = gates
     for t in range(steps):
         states[t + 1], zs[t], rs[t], cands[t], cand_h_lin[t] = _gru_step(
             states[t], xi[t], u_zr, uc, bch)
-
-    def grad_fn(g):
-        # per-step gate gradients side by side, [gc | gz | gr | ghl], so the
-        # input weights' gradients (candidate, update, reset) are one
-        # product with the first 3H columns, the recurrent weights' (update,
-        # reset, candidate) one with the last 3H, and the biases one sum;
-        # each element is the same batch reduction as a per-gate product
-        gates = np.empty((batch, 4 * hidden))
-        gc, gz, gr, ghl = np.split(gates, 4, axis=1)
-        g_w = np.zeros((3 * hidden, d_in))
-        g_u = np.zeros((3 * hidden, hidden))
-        g_b = np.zeros(4 * hidden)
-        gx = np.empty((steps, batch, d_in)) if x_seq.requires_grad else None
-        carry = np.zeros((batch, hidden))
-        for t in range(steps - 1, -1, -1):
-            gh = g[t] + carry
-            h_prev, z, r, c, hl = states[t], zs[t], rs[t], cands[t], cand_h_lin[t]
-            one_minus_z = 1.0 - z
-            np.multiply(gh * (h_prev - c) * z, one_minus_z, out=gz)
-            np.multiply(gh * one_minus_z, 1.0 - c * c, out=gc)
-            np.multiply(gc, r, out=ghl)
-            np.multiply(gc * hl * r, 1.0 - r, out=gr)
-            x_t = x_seq.data[t]
-            g_w += gates[:, :3 * hidden].T @ x_t
-            g_u += gates[:, hidden:].T @ h_prev
-            g_b += gates.sum(axis=0)
-            # gx and carry stay three products added in this order: one
-            # fused product would change the order of the sums, and so the
-            # bits of every checkpoint
-            if gx is not None:
-                gx[t] = gz @ wz + gr @ wr + gc @ wc
-            carry = gh * z + gz @ uz + gr @ ur + ghl @ uc
-        g_wc, g_wz, g_wr = np.split(g_w, 3)
-        g_uz, g_ur, g_uc = np.split(g_u, 3)
-        g_bcx, g_bz, g_br, g_bch = np.split(g_b, 4)
-        # the two biases of each sigmoid gate share one gradient
-        return (
-            gx, carry,
-            g_wz, g_uz, g_bz, g_bz.copy(),
-            g_wr, g_ur, g_br, g_br.copy(),
-            g_wc, g_uc, g_bcx, g_bch,
-        )
-
-    parents = (
-        x_seq, h0,
-        layer.update_x, layer.update_h, layer.update_bx, layer.update_bh,
-        layer.reset_x, layer.reset_h, layer.reset_bx, layer.reset_bh,
-        layer.cand_x, layer.cand_h, layer.cand_bx, layer.cand_bh,
-    )
-    return ad._node(states[1:], parents, grad_fn)
+    return states, gates
 
 
-def _lookback_sequence(features, caller: str) -> np.ndarray:
+def layer_backward(x_seq: np.ndarray, states: np.ndarray, gates: tuple[np.ndarray, ...],
+                   g: np.ndarray, layer: GruLayerParams, input_grad: bool):
+    """Backpropagate ``g``, the gradient of the states ``states[1:]``
+    [steps, batch, hidden], through one layer run by :func:`layer_forward`.
+
+    Returns the gradient of ``x_seq`` (``None`` unless ``input_grad``) and
+    the layer's 12 gradients in :meth:`GruLayerParams.tensors` order.
+    """
+    steps, batch, d_in = x_seq.shape
+    hidden = layer.hidden_width
+    wz, uz = layer.update_x.data, layer.update_h.data
+    wr, ur = layer.reset_x.data, layer.reset_h.data
+    wc, uc = layer.cand_x.data, layer.cand_h.data
+    zs, rs, cands, cand_h_lin = gates
+
+    # per-step gate gradients side by side, [gc | gz | gr | ghl], so the
+    # input weights' gradients (candidate, update, reset) are one product
+    # with the first 3H columns, the recurrent weights' (update, reset,
+    # candidate) one with the last 3H, and the biases one sum; each element
+    # is the same batch reduction as a per-gate product
+    buf = np.empty((batch, 4 * hidden))
+    gc, gz, gr, ghl = np.split(buf, 4, axis=1)
+    g_w = np.zeros((3 * hidden, d_in))
+    g_u = np.zeros((3 * hidden, hidden))
+    g_b = np.zeros(4 * hidden)
+    gx = np.empty((steps, batch, d_in)) if input_grad else None
+    carry = np.zeros((batch, hidden))
+    for t in range(steps - 1, -1, -1):
+        gh = g[t] + carry
+        h_prev, z, r, c, hl = states[t], zs[t], rs[t], cands[t], cand_h_lin[t]
+        one_minus_z = 1.0 - z
+        np.multiply(gh * (h_prev - c) * z, one_minus_z, out=gz)
+        np.multiply(gh * one_minus_z, 1.0 - c * c, out=gc)
+        np.multiply(gc, r, out=ghl)
+        np.multiply(gc * hl * r, 1.0 - r, out=gr)
+        g_w += buf[:, :3 * hidden].T @ x_seq[t]
+        g_u += buf[:, hidden:].T @ h_prev
+        g_b += buf.sum(axis=0)
+        # gx and carry stay three products added in this order: one fused
+        # product would change the order of the sums, and so the bits of
+        # every checkpoint
+        if gx is not None:
+            gx[t] = gz @ wz + gr @ wr + gc @ wc
+        carry = gh * z + gz @ uz + gr @ ur + ghl @ uc
+    g_wc, g_wz, g_wr = np.split(g_w, 3)
+    g_uz, g_ur, g_uc = np.split(g_u, 3)
+    g_bcx, g_bz, g_br, g_bch = np.split(g_b, 4)
+    # the two biases of each sigmoid gate share one gradient
+    return gx, [g_wz, g_uz, g_bz, g_bz, g_wr, g_ur, g_br, g_br, g_wc, g_uc, g_bcx, g_bch]
+
+
+def _lookback_sequence(features: np.ndarray, caller: str) -> np.ndarray:
     """A [n_stocks, 360] feature block as a [60, n_stocks, 6] sequence."""
-    arr = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
+    arr = np.asarray(features, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != FEATURE_WIDTH:
         raise ShapeError(f"{caller} expects [n_stocks, {FEATURE_WIDTH}], got {arr.shape}")
     # row layout: 60 steps x 6 fields, oldest step first
     return arr.reshape(arr.shape[0], LOOKBACK_DAYS, FIELDS_PER_DAY).transpose(1, 0, 2)
 
 
-def encode_panel(features, params: EncoderParams) -> Tensor:
+def encode_panel(features: np.ndarray, params: EncoderParams) -> Tensor:
     """Encode a [n_stocks, 360] feature block into [n_stocks, hidden].
 
-    Features are data, not parameters: gradients flow to the encoder
-    weights only.  Rows are independent, so the output is row-permutation
-    equivariant.
+    The result is one tape node whose parents are the encoder's weights:
+    features are data, not parameters.  Its backward pass runs
+    :func:`layer_backward` from the top layer down, the top layer's
+    gradient entering at the last step only.  Rows are independent, so the
+    output is row-permutation equivariant.
     """
-    seq = _lookback_sequence(features, "encode_panel")
-    n_stocks = seq.shape[1]
-    out = Tensor(seq.copy())
+    x_seq = _lookback_sequence(features, "encode_panel")
+    runs = []
     for layer in params.layers:
-        h0 = Tensor(np.zeros((n_stocks, layer.hidden_width)))
-        out = gru_sequence(out, h0, layer)
-    return ad.last_step(out)
+        states, gates = layer_forward(x_seq, layer)
+        runs.append((x_seq, states, gates))
+        x_seq = states[1:]
+
+    def grad_fn(g):
+        g_seq = np.zeros(x_seq.shape)
+        g_seq[-1] = g
+        grads = []
+        for i in reversed(range(len(runs))):
+            g_seq, layer_grads = layer_backward(*runs[i], g_seq, params.layers[i], i > 0)
+            grads[:0] = layer_grads
+        return grads
+
+    return ad._node(x_seq[-1].copy(), tuple(params.tensors()), grad_fn)
 
 
 def encode_rows(features, params: EncoderParams) -> np.ndarray:
     """:func:`encode_panel`'s output as a plain array, computed off the tape.
 
     All layers advance together one step at a time with the same step
-    function as :func:`gru_sequence`, keeping only each layer's running
+    function as :func:`layer_forward`, keeping only each layer's running
     state: no step's gates or projections are stored.  Rows are independent,
     so any set of rows (several dates' cross-sections, say) can be encoded
     in one call.

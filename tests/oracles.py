@@ -198,9 +198,10 @@ def load_panel_reference(path: str) -> list[dict]:
         if next(reader, None) != PANEL_HEADER:
             raise ValueError(f"{path}:1: bad panel header; expected "
                              f"{PANEL_HEADER[:5]}...{PANEL_HEADER[-1]!r}")
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            line = reader.line_num  # the physical line the record ends on
             if len(row) != len(PANEL_HEADER):
                 raise ValueError(f"{path}:{line}: expected {len(PANEL_HEADER)} columns, "
                                  f"got {len(row)}")

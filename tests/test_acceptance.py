@@ -96,7 +96,8 @@ def test_gradient_suite():
             b = ad.Tensor(vals["b"], requires_grad=True, name="b")
             m = ad.Tensor(vals["m"], requires_grad=True, name="m")
             sim = ad.cosine_matrix(a, b)
-            mix = ad.matmul(ad.softmax(sim, axis=0), ad.l2_normalize_rows(b))
+            norms = ad.clamp_min(ad.sqrt(ad.reduce_sum(ad.multiply(b, b), axis=1)), ad.EPS)
+            mix = ad.matmul(ad.softmax(sim, axis=0), ad.divide(b, ad.reshape(norms, (2, 1))))
             out = ad.leaky_relu(ad.matmul(mix, m))
             return ad.reduce_sum(ad.multiply(out, out))
 

@@ -115,25 +115,6 @@ class TestMaskedSoftmax:
         assert np.array_equal(s, [[0.0, 0.0]])
 
 
-class TestL2NormalizeRows:
-    def test_three_four_five(self):
-        out = ad.l2_normalize_rows(ad.Tensor([[3.0, 4.0]]))
-        assert np.allclose(out.data, [[0.6, 0.8]], atol=1e-15)
-
-    def test_unit_row_unchanged(self):
-        out = ad.l2_normalize_rows(ad.Tensor([[1.0, 0.0]]))
-        assert np.array_equal(out.data, [[1.0, 0.0]])
-
-    def test_zero_row_preserved(self):
-        out = ad.l2_normalize_rows(ad.Tensor([[0.0, 0.0]]), eps=1e-12)
-        assert np.array_equal(out.data, [[0.0, 0.0]])
-
-    def test_row_norms_unit(self):
-        m = RNG.normal(size=(20, 7)) + 0.1
-        norms = np.linalg.norm(ad.l2_normalize_rows(ad.Tensor(m)).data, axis=1)
-        assert np.allclose(norms, 1.0, atol=1e-9)
-
-
 class TestLeakyRelu:
     @pytest.mark.parametrize("x,expected", [(1.0, 1.0), (0.0, 0.0), (-1.0, -0.01)])
     def test_values(self, x, expected):
@@ -227,10 +208,6 @@ OP_BUILDERS = {
         {"x": _away_from_kinks(rng.normal(size=(4, 4)))},
         lambda t: ad.leaky_relu(t["x"]),
     ),
-    "l2_normalize_rows": lambda rng: (
-        {"x": rng.normal(size=(3, 4)) + 0.5},
-        lambda t: ad.l2_normalize_rows(t["x"]),
-    ),
     "cosine_matrix": lambda rng: (
         {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(2, 4))},
         lambda t: ad.cosine_matrix(t["a"], t["b"]),
@@ -242,10 +219,6 @@ OP_BUILDERS = {
     "clamp_min": lambda rng: (
         {"x": _away_from_kinks(rng.normal(size=(4,)), 0.05)},
         lambda t: ad.clamp_min(t["x"], 0.0),
-    ),
-    "last_step": lambda rng: (
-        {"x": rng.normal(size=(5, 2, 3))},
-        lambda t: ad.last_step(t["x"]),
     ),
     "reduce_sum_axis": lambda rng: (
         {"x": rng.normal(size=(3, 4))},

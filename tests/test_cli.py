@@ -279,6 +279,32 @@ class TestFileBoundary:
         err = capsys.readouterr().err
         assert "data error" in err and str(tmp_path) in err
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--log"])
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_train_output_path_checked_before_training(self, config_path, tmp_path, capsys,
+                                                       flag, where):
+        bad = str(tmp_path if where == "directory" else tmp_path / "missing" / "out")
+        ckpt = tmp_path / "x.bin"
+        args = {"--checkpoint": ["--checkpoint", bad],
+                "--log": ["--checkpoint", str(ckpt), "--log", bad]}[flag]
+        assert main(["train", "--config", str(config_path), *args]) == 2
+        out, err = capsys.readouterr()
+        assert "data error" in err and bad in err
+        assert "epoch" not in out
+        assert not ckpt.exists()
+
+    def test_failed_training_leaves_outputs_untouched(self, config_path, tmp_path, capsys):
+        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        cfg["model"]["concept_capacity"] = 3  # forward fails on the first training date
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        ckpt = tmp_path / "x.bin"
+        ckpt.write_bytes(b"an earlier checkpoint")
+        assert main(["train", "--config", str(path), "--checkpoint", str(ckpt),
+                     "--log", str(tmp_path / "log.json")]) == 2
+        assert ckpt.read_bytes() == b"an earlier checkpoint"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "x.bin"]
+
     def test_concept_capacity_mismatch_is_data_error(self, config_path, tmp_path, capsys):
         assert _train_with(config_path, tmp_path, model={"concept_capacity": 3}) == 2
         err = capsys.readouterr().err

@@ -175,6 +175,12 @@ class TestLoadPanelValidation:
         with pytest.raises(ParseError, match=r"p\.csv:2.*market_cap"):
             md.load_panel(ppath, _write(tmp_path / "c.csv", "concept_id,stock_id\n"))
 
+    def test_line_break_in_quoted_id_counts_physical_lines(self, tmp_path):
+        # the record starts on line 2; its bad market_cap cell is on line 3
+        ppath = _write(tmp_path / "p.csv", tiny_panel_text(['2020-01-01,"S\n0000",oops,100.0']))
+        with pytest.raises(ParseError, match=r"p\.csv:3:.*market_cap"):
+            md.load_panel(ppath, _write(tmp_path / "c.csv", "concept_id,stock_id\n"))
+
     def test_missing_column_rejected(self, tmp_path):
         ppath = _write(tmp_path / "p.csv", "date,stock_id,market_cap\n2020-01-01,A,1.0\n")
         with pytest.raises(ParseError, match=r"p\.csv:1.*header"):
@@ -184,6 +190,12 @@ class TestLoadPanelValidation:
         ppath = _write(tmp_path / "p.csv", tiny_panel_text(["2020-01-01,A,1.0,100.0"]))
         cpath = _write(tmp_path / "c.csv", "concept_id,stock_id\nC1,ZZZ\n")
         with pytest.raises(ParseError, match=r"c\.csv:2.*ZZZ"):
+            md.load_panel(ppath, cpath)
+
+    def test_concept_line_after_quoted_line_break(self, tmp_path):
+        ppath = _write(tmp_path / "p.csv", tiny_panel_text(['2020-01-01,"S\n0000",1.0,100.0']))
+        cpath = _write(tmp_path / "c.csv", 'concept_id,stock_id\nC1,"S\n0000"\nC1,ZZZ\n')
+        with pytest.raises(ParseError, match=r"c\.csv:4:.*ZZZ"):
             md.load_panel(ppath, cpath)
 
     def test_non_iso_date_rejected(self, tmp_path):

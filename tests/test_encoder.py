@@ -29,12 +29,13 @@ def layer_arrays(layer: enc.GruLayerParams) -> dict[str, np.ndarray]:
 
 
 def one_step(x: np.ndarray, h: np.ndarray, layer: enc.GruLayerParams) -> np.ndarray:
-    """A single step of the fused sequence from input rows ``x`` and state ``h``."""
-    return enc.gru_sequence(ad.Tensor(x[None]), ad.Tensor(h), layer).data[0]
+    """The encoder's forward step from input rows ``x`` and state ``h``."""
+    w_x, b_x, u_zr, uc, bch = enc._forward_weights(layer)
+    return enc._gru_step(h, x @ w_x.T + b_x, u_zr, uc, bch)[0]
 
 
 class TestGruCell:
-    """A single recurrence step, run as a one-step fused sequence."""
+    """A single recurrence step from a given state."""
 
     def test_zero_params_zero_state_gives_zero(self):
         layer = zero_layer(4, 3)
@@ -57,17 +58,32 @@ class TestGruCell:
         assert np.max(np.abs(one_step(x, h, layer) - expected)) <= 1e-13
 
 
+def layer_gradients(x: np.ndarray, layer: enc.GruLayerParams, g: np.ndarray,
+                    input_grad: bool = True) -> dict[str, np.ndarray]:
+    """Gradients of ``sum(g * states)`` over one layer run from a zero state,
+    keyed like :func:`oracles.gru_bptt` (``h0`` aside)."""
+    states, gates = enc.layer_forward(x, layer)
+    gx, grads = enc.layer_backward(x, states, gates, g, layer, input_grad)
+    out = {f.name: grad for f, grad in zip(fields(layer), grads)}
+    if gx is not None:
+        out["x"] = gx
+    return out
+
+
 class TestGruSequence:
+    """One recurrence layer over a sequence: layer_forward and layer_backward."""
+
     def test_fused_matches_stepwise_cells(self):
         rng = np.random.default_rng(7)
         layer = enc.init_gru_layer(rng, 4, 2, "l")
         x = rng.normal(size=(6, 3, 2))
         h = np.zeros((3, 4))
-        fused = enc.gru_sequence(ad.Tensor(x), ad.Tensor(h), layer)
+        states, _ = enc.layer_forward(x, layer)
+        assert np.array_equal(states[0], h)
         weights = layer_arrays(layer)
         for t in range(6):
             h = gru_step(x[t], h, weights)
-            assert np.max(np.abs(fused.data[t] - h)) <= 1e-13
+            assert np.max(np.abs(states[t + 1] - h)) <= 1e-13
 
     def test_fused_gradients_match_finite_differences(self):
         rng = np.random.default_rng(19)
@@ -76,16 +92,16 @@ class TestGruSequence:
             ("reset_x", (3, 2)), ("reset_h", (3, 3)), ("reset_bx", (3,)), ("reset_bh", (3,)),
             ("cand_x", (3, 2)), ("cand_h", (3, 3)), ("cand_bx", (3,)), ("cand_bh", (3,)),
         ]}
-        values = dict(weights, x=rng.normal(size=(5, 2, 2)), h0=rng.normal(size=(2, 3)))
+        values = dict(weights, x=rng.normal(size=(5, 2, 2)))
 
-        def run(vals):
-            tensors = {k: ad.Tensor(v, requires_grad=True, name=k) for k, v in vals.items()}
-            layer = enc.GruLayerParams(**{k: tensors[k] for k in weights})
-            out = enc.gru_sequence(tensors["x"], tensors["h0"], layer)
-            return ad.reduce_sum(ad.multiply(out, out))
+        def states_of(vals):
+            layer = enc.GruLayerParams(**{k: ad.Tensor(vals[k]) for k in weights})
+            return enc.layer_forward(vals["x"], layer)[0][1:], layer
 
-        analytic = ad.backward(run(values))
-        numeric = finite_difference(lambda v: run(v).item(), values)
+        out, layer = states_of(values)
+        # d sum(out * out) / d out = 2 out
+        analytic = layer_gradients(values["x"], layer, 2.0 * out)
+        numeric = finite_difference(lambda v: float(np.sum(states_of(v)[0] ** 2)), values)
         assert max_rel_error(analytic, numeric) < 1e-4
 
     @pytest.mark.parametrize("steps, batch, hidden, d_in", [
@@ -94,14 +110,10 @@ class TestGruSequence:
         rng = np.random.default_rng(steps * 1000 + hidden)
         layer = enc.init_gru_layer(rng, hidden, d_in, "l")
         x = rng.normal(size=(steps, batch, d_in))
-        h0 = rng.normal(size=(batch, hidden)) * 0.5
         g = rng.normal(size=(steps, batch, hidden))
-        x_t = ad.Tensor(x, requires_grad=True, name="x")
-        h0_t = ad.Tensor(h0, requires_grad=True, name="h0")
-        out = enc.gru_sequence(x_t, h0_t, layer)
-        grads = ad.backward(ad.reduce_sum(ad.multiply(out, ad.Tensor(g))))
-        grads = {name.removeprefix("l."): value for name, value in grads.items()}
-        expected = gru_bptt(x, h0, layer_arrays(layer), g)
+        grads = layer_gradients(x, layer, g)
+        expected = gru_bptt(x, np.zeros((batch, hidden)), layer_arrays(layer), g)
+        del expected["h0"]
         assert sorted(grads) == sorted(expected)
         for name, want in expected.items():
             assert np.max(np.abs(grads[name] - want)) <= 1e-12, name
@@ -110,15 +122,9 @@ class TestGruSequence:
         rng = np.random.default_rng(31)
         layer = enc.init_gru_layer(rng, 7, 5, "l")
         x = rng.normal(size=(8, 6, 5))
-        h0 = rng.normal(size=(6, 7))
-        g = ad.Tensor(rng.normal(size=(8, 6, 7)))
-
-        def grads(x_needs_grad):
-            x_t = ad.Tensor(x, requires_grad=x_needs_grad, name="x")
-            h0_t = ad.Tensor(h0, requires_grad=True, name="h0")
-            return ad.backward(ad.reduce_sum(ad.multiply(enc.gru_sequence(x_t, h0_t, layer), g)))
-
-        with_x, without_x = grads(True), grads(False)
+        g = rng.normal(size=(8, 6, 7))
+        with_x = layer_gradients(x, layer, g, input_grad=True)
+        without_x = layer_gradients(x, layer, g, input_grad=False)
         assert "x" in with_x and "x" not in without_x
         assert sorted(without_x) == sorted(k for k in with_x if k != "x")
         for name, value in without_x.items():
@@ -127,7 +133,9 @@ class TestGruSequence:
     def test_shape_validation(self):
         layer = zero_layer(4, 2)
         with pytest.raises(ShapeError):
-            enc.gru_sequence(ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros((2, 4))), layer)
+            enc.layer_forward(np.zeros((3, 2)), layer)
+        with pytest.raises(ShapeError):
+            enc.layer_forward(np.zeros((3, 2, 3)), layer)
 
 
 class TestEncodePanel:
@@ -207,6 +215,35 @@ class TestEncodePanel:
         assert sorted(first) == sorted(t.name for t in params.tensors())
         for name, value in first.items():
             assert np.array_equal(value, second[name]), name
+
+
+    @pytest.mark.parametrize("batch, hidden", [(20, 16), (7, 33)])
+    def test_gradients_match_composed_bptt_oracle(self, batch, hidden):
+        rng = np.random.default_rng(batch * 100 + hidden)
+        params = enc.init_encoder(rng, hidden=hidden)
+        feats = rng.normal(size=(batch, enc.FEATURE_WIDTH))
+        g = rng.normal(size=(batch, hidden))
+        out = enc.encode_panel(feats, params)
+        grads = ad.backward(ad.reduce_sum(ad.multiply(out, ad.Tensor(g))))
+
+        # the oracle: the bottom layer's states from gru_step, then BPTT of
+        # the top layer with the gradient at its last step only, then of the
+        # bottom layer with the top layer's input gradient
+        bottom, top = (layer_arrays(layer) for layer in params.layers)
+        x = feats.reshape(batch, enc.LOOKBACK_DAYS, enc.FIELDS_PER_DAY).transpose(1, 0, 2)
+        h, bottom_states = np.zeros((batch, hidden)), []
+        for x_t in x:
+            h = gru_step(x_t, h, bottom)
+            bottom_states.append(h)
+        g_top = np.zeros((enc.LOOKBACK_DAYS, batch, hidden))
+        g_top[-1] = g
+        want_top = gru_bptt(np.array(bottom_states), np.zeros((batch, hidden)), top, g_top)
+        want_bottom = gru_bptt(x, np.zeros((batch, hidden)), bottom, want_top["x"])
+        expected = {f"encoder.l{i}.{name}": want[name]
+                    for i, want in enumerate((want_bottom, want_top)) for name in bottom}
+        assert sorted(grads) == sorted(expected)
+        for name, want in expected.items():
+            assert np.max(np.abs(grads[name] - want)) <= 1e-12, name
 
 
 class TestEncodeRows:
