@@ -172,13 +172,13 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(original),))
 
 
-def reduce_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a, axis: int | None = None) -> Tensor:
     a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = a.data.sum(axis=axis)
     shape = a.data.shape
 
     def grad_fn(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape),)
 
@@ -204,9 +204,9 @@ def sqrt(a) -> Tensor:
     return _node(out, (a,), grad_fn)
 
 
-def leaky_relu(a, slope: float = LEAKY_SLOPE) -> Tensor:
+def leaky_relu(a) -> Tensor:
     a = as_tensor(a)
-    factor = np.where(a.data >= 0.0, 1.0, slope)
+    factor = np.where(a.data >= 0.0, 1.0, LEAKY_SLOPE)
     return _node(a.data * factor, (a,), lambda g: (g * factor,))
 
 
@@ -254,10 +254,10 @@ def masked_softmax(a, mask: np.ndarray, axis: int) -> Tensor:
     return _node(out, (a,), grad_fn)
 
 
-def cosine_matrix(a, b, eps: float = EPS) -> Tensor:
+def cosine_matrix(a, b) -> Tensor:
     """Pairwise cosine similarity between rows of ``a`` and rows of ``b``.
 
-    Row norms below ``eps`` are clamped to ``eps``, so zero rows score 0
+    Row norms below ``EPS`` are clamped to ``EPS``, so zero rows score 0
     against everything instead of dividing by zero.
     """
     a, b = as_tensor(a), as_tensor(b)
@@ -265,8 +265,8 @@ def cosine_matrix(a, b, eps: float = EPS) -> Tensor:
         raise ShapeError(
             f"cosine_matrix expects row-aligned matrices, got {a.data.shape} and {b.data.shape}"
         )
-    na = clamp_min(sqrt(reduce_sum(multiply(a, a), axis=1)), eps)
-    nb = clamp_min(sqrt(reduce_sum(multiply(b, b), axis=1)), eps)
+    na = clamp_min(sqrt(reduce_sum(multiply(a, a), axis=1)), EPS)
+    nb = clamp_min(sqrt(reduce_sum(multiply(b, b), axis=1)), EPS)
     denom = matmul(reshape(na, (a.data.shape[0], 1)), reshape(nb, (1, b.data.shape[0])))
     return divide(matmul(a, transpose(b)), denom)
 

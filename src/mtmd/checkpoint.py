@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import LEAKY_SLOPE
 from .errors import DataError
 
 MAGIC = b"MTMD"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -48,7 +49,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint of this or the previous format version; a file that
+    """Read a checkpoint of this or an earlier format version; a file that
     is truncated or does not follow the layout raises :class:`DataError`."""
     try:
         with open(path, "rb") as fh:
@@ -76,7 +77,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise DataError(f"{path}: corrupt checkpoint text at byte {offset - size}: {exc}") from None
 
     (version,) = take("<I")
-    if version not in (1, FORMAT_VERSION):
+    if not 1 <= version <= FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     (meta_len,) = take("<I")
     try:
@@ -98,8 +99,26 @@ def load_checkpoint(path: str) -> Checkpoint:
             n_elems *= d
         payload = take_bytes(n_elems * 8)
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
-    if version == 1 and isinstance(meta["config"].get("train"), dict):
-        # version 1 stored the retired train key reset_banks_each_epoch,
-        # which only ever affected training
-        meta["config"]["train"].pop("reset_banks_each_epoch", None)
+    if version < FORMAT_VERSION:
+        _drop_retired_keys(path, version, meta["config"])
     return Checkpoint(tensors=tensors, config=meta["config"], metrics=meta["metrics"])
+
+
+def _drop_retired_keys(path: str, version: int, config: dict) -> None:
+    """Remove the config keys of a version-1 or -2 file that later formats retired.
+
+    ``momentum`` and version 1's ``reset_banks_each_epoch`` only ever
+    affected training, so they go whatever their value.  ``leaky_slope``
+    shapes every prediction, so it goes only at the one slope this code uses.
+    """
+    train = config["train"] if isinstance(config.get("train"), dict) else {}
+    train.pop("momentum", None)
+    if version == 1:
+        train.pop("reset_banks_each_epoch", None)
+    for section in (config.get("model"), train.get("model")):
+        if not isinstance(section, dict):
+            continue
+        slope = section.pop("leaky_slope", LEAKY_SLOPE)
+        if slope != LEAKY_SLOPE:
+            raise DataError(f"{path}: checkpoint has leaky_slope {slope!r}; "
+                            f"only {LEAKY_SLOPE} is supported since format 3")

@@ -104,6 +104,8 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_eval(args) -> None:
+    if args.out:
+        _check_output_path(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     report = evaluate(ckpt, args.split)
     print(report.summary_table())
@@ -122,6 +124,8 @@ def _cmd_ablate(args) -> None:
             seeds = [int(s) for s in args.seeds.split(",") if s]
         except ValueError:
             raise UsageError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+    if args.out:
+        _check_output_path(args.out)
 
     def progress(code, seed, report):
         print(f"[{code} seed={seed}] test IC {report.ic_mean:.4f}", flush=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import EPS, Tensor
+from .autodiff import Tensor
 from .errors import ContractError, ShapeError
 
 
@@ -62,17 +62,16 @@ def init_predefined(encoded: Tensor, member_mask: np.ndarray,
     return ad.matmul(Tensor(weights.T), encoded), empty
 
 
-def correct_predefined(encoded: Tensor, concept_init: Tensor, correction: LinearMap,
-                       slope: float = ad.LEAKY_SLOPE) -> Tensor:
+def correct_predefined(encoded: Tensor, concept_init: Tensor, correction: LinearMap) -> Tensor:
     """Re-estimate every concept from all stocks through dense soft links.
 
     Link strengths are cosine scores softmaxed across stocks per concept,
     so even concepts with no (or wrong) hard links receive an embedding.
     """
-    scores = ad.cosine_matrix(encoded, concept_init, EPS)
+    scores = ad.cosine_matrix(encoded, concept_init)
     stock_weights = ad.softmax(scores, axis=0)
     pooled = ad.matmul(ad.transpose(stock_weights), encoded)
-    return ad.leaky_relu(affine(pooled, correction), slope)
+    return ad.leaky_relu(affine(pooled, correction))
 
 
 def assign_hidden(residual: Tensor, concept_init: Tensor,
@@ -85,7 +84,7 @@ def assign_hidden(residual: Tensor, concept_init: Tensor,
     """
     if concept_init.data.shape[0] < 1:
         raise ContractError("assign_hidden requires at least one concept")
-    scores = ad.cosine_matrix(residual, concept_init, EPS)
+    scores = ad.cosine_matrix(residual, concept_init)
     chosen = np.argmax(scores.data, axis=1)
     membership = np.zeros_like(np.asarray(predefined_mask, dtype=bool))
     membership[np.arange(len(chosen)), chosen] = True
@@ -94,7 +93,7 @@ def assign_hidden(residual: Tensor, concept_init: Tensor,
 
 
 def hidden_embeddings(residual: Tensor, scores: Tensor, membership: np.ndarray,
-                      correction: LinearMap, slope: float = ad.LEAKY_SLOPE) -> Tensor:
+                      correction: LinearMap) -> Tensor:
     """Score-weighted member sum per hidden concept, then the correction map.
 
     Concepts left empty by pruning reduce to the bias row (empty sums are
@@ -102,12 +101,11 @@ def hidden_embeddings(residual: Tensor, scores: Tensor, membership: np.ndarray,
     """
     masked = ad.multiply(scores, Tensor(membership.astype(np.float64)))
     pooled = ad.matmul(ad.transpose(masked), residual)
-    return ad.leaky_relu(affine(pooled, correction), slope)
+    return ad.leaky_relu(affine(pooled, correction))
 
 
 def local_aggregate(stock_features: Tensor, concept_embeddings: Tensor,
-                    link_mask: np.ndarray, fc: LinearMap,
-                    slope: float = ad.LEAKY_SLOPE) -> tuple[Tensor, Tensor]:
+                    link_mask: np.ndarray, fc: LinearMap) -> tuple[Tensor, Tensor]:
     """Fuse each stock's linked concepts by cosine-softmax importance.
 
     Every stock must have at least one link; callers are responsible for
@@ -118,16 +116,15 @@ def local_aggregate(stock_features: Tensor, concept_embeddings: Tensor,
     if not mask.any(axis=1).all():
         missing = int(np.flatnonzero(~mask.any(axis=1))[0])
         raise ContractError(f"stock index {missing} has an empty concept link set")
-    scores = ad.cosine_matrix(stock_features, concept_embeddings, EPS)
+    scores = ad.cosine_matrix(stock_features, concept_embeddings)
     importance = ad.masked_softmax(scores, mask, axis=1)
     pooled = ad.matmul(importance, concept_embeddings)
-    return ad.leaky_relu(affine(pooled, fc), slope), importance
+    return ad.leaky_relu(affine(pooled, fc)), importance
 
 
-def individual_features(residual: Tensor, fc: LinearMap,
-                        slope: float = ad.LEAKY_SLOPE) -> Tensor:
+def individual_features(residual: Tensor, fc: LinearMap) -> Tensor:
     """Per-stock map for information not explained by any concept."""
-    return ad.leaky_relu(affine(residual, fc), slope)
+    return ad.leaky_relu(affine(residual, fc))
 
 
 def predefined_link_sets(member_mask: np.ndarray, empty_concepts: np.ndarray) -> np.ndarray:

@@ -99,13 +99,10 @@ def init_gru_layer(rng: np.random.Generator, hidden: int, d_in: int, prefix: str
     )
 
 
-def init_encoder(rng: np.random.Generator, hidden: int, d_in: int = FIELDS_PER_DAY,
-                 n_layers: int = 2, prefix: str = "encoder") -> EncoderParams:
-    layers = [
-        init_gru_layer(rng, hidden, d_in if i == 0 else hidden, f"{prefix}.l{i}")
-        for i in range(n_layers)
-    ]
-    return EncoderParams(layers=layers)
+def init_encoder(rng: np.random.Generator, hidden: int) -> EncoderParams:
+    """The two stacked layers, ``encoder.l0`` over the daily fields and ``encoder.l1``."""
+    return EncoderParams(layers=[init_gru_layer(rng, hidden, FIELDS_PER_DAY, "encoder.l0"),
+                                 init_gru_layer(rng, hidden, hidden, "encoder.l1")])
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

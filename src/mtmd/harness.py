@@ -43,7 +43,6 @@ class TrainConfig(Config):
     panel_path: str | None = None
     concept_path: str | None = None
     learning_rate: float = ranged(2e-4, "finite, > 0")
-    momentum: float = ranged(0.0, ">= 0, < 1")
     epochs: int = ranged(30, ">= 1")
     patience: int = ranged(10, ">= 0")
     seed: int = ranged(0, ">= 0")
@@ -95,29 +94,6 @@ def fraction_boundaries(panel: FeaturePanel, train_frac: float = 0.6,
     i_valid = max(i_train + 1, int(len(dates) * (train_frac + valid_frac)) - 1)
     i_valid = min(i_valid, len(dates) - 2)
     return dates[i_train], dates[i_valid]
-
-
-class _Sgd:
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: dict[str, ad.Tensor], lr: float, momentum: float):
-        self.params = params
-        self.lr = lr
-        self.momentum = momentum
-        self.velocity = {name: np.zeros_like(t.data) for name, t in params.items()} \
-            if momentum > 0.0 else None
-
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        for name, tensor in self.params.items():
-            g = grads.get(name)
-            if g is None:
-                continue
-            if self.velocity is not None:
-                v = self.velocity[name]
-                v *= self.momentum
-                v += g
-                g = v
-            tensor.data -= self.lr * g
 
 
 def eval_traces(slices: list[DateSlice], graph: ConceptGraph, params: ModelParams,
@@ -232,7 +208,7 @@ def train(config: TrainConfig, panel: FeaturePanel | None = None,
     model_cfg = replace(config.model, seed=config.seed)
     params = init_parameters(model_cfg)
     banks = init_banks(model_cfg)
-    optimizer = _Sgd(params.named(), config.learning_rate, config.momentum)
+    named = params.named()
 
     log = TrainLog(date_order=[s.date for s in train_slices])
     best: dict[str, np.ndarray] | None = None
@@ -250,7 +226,8 @@ def train(config: TrainConfig, panel: FeaturePanel | None = None,
             if not math.isfinite(value):
                 raise NumericError(f"non-finite training loss on date {s.date}")
             losses.append(value)
-            optimizer.step(ad.backward(loss))
+            for name, g in ad.backward(loss).items():  # plain SGD
+                named[name].data -= config.learning_rate * g
         valid_ic = _mean_valid_ic(valid_slices, graph, params, banks, model_cfg)
         improved = valid_ic is not None and valid_ic > log.best_valid_ic
         if improved:

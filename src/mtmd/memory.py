@@ -31,9 +31,6 @@ class MemoryBank:
     def width(self) -> int:
         return self.items.shape[1]
 
-    def copy(self) -> "MemoryBank":
-        return MemoryBank(items=self.items.copy(), stage=self.stage)
-
 
 @dataclass
 class RetrievalState:

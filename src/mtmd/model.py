@@ -36,16 +36,8 @@ class ModelConfig(Config):
     concept_capacity: int | None = ranged(None, ">= 1")
     memory_predefined: bool = True
     memory_hidden: bool = True
-    leaky_slope: float = ranged(0.01, "finite")
     eval_writes: bool = False
     seed: int = ranged(0, ">= 0")
-
-    @property
-    def ablation_code(self) -> str:
-        for code, switches in ABLATION_CODES.items():
-            if switches == (self.memory_predefined, self.memory_hidden):
-                return code
-        raise AssertionError
 
     def with_ablation(self, code: str) -> "ModelConfig":
         try:
@@ -143,7 +135,6 @@ def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams
             f"date {date_slice.date} has {n_concepts} concepts, config expects "
             f"{config.concept_capacity}"
         )
-    slope = config.leaky_slope
     writes_allowed = mode == "train" or config.eval_writes
 
     if encoded is None:
@@ -158,10 +149,9 @@ def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams
 
     # predefined stage
     concept_seed, empty = cc.init_predefined(encoded, mask, date_slice.market_caps)
-    concepts_pre = cc.correct_predefined(encoded, concept_seed, params.predefined_correct, slope)
+    concepts_pre = cc.correct_predefined(encoded, concept_seed, params.predefined_correct)
     links_pre = cc.predefined_link_sets(mask, empty)
-    local_pre, _ = cc.local_aggregate(encoded, concepts_pre, links_pre,
-                                      params.predefined_local, slope)
+    local_pre, _ = cc.local_aggregate(encoded, concepts_pre, links_pre, params.predefined_local)
     retrieval_pre = None
     if config.memory_predefined:
         retrieval_pre = global_aggregate(local_pre, Tensor(banks["predefined"].items))
@@ -172,11 +162,9 @@ def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams
 
     # hidden stage
     scores_hid, chosen, membership = cc.assign_hidden(hidden_in, concepts_pre, mask)
-    concepts_hid = cc.hidden_embeddings(hidden_in, scores_hid, membership,
-                                        params.hidden_correct, slope)
+    concepts_hid = cc.hidden_embeddings(hidden_in, scores_hid, membership, params.hidden_correct)
     links_hid = cc.hidden_link_sets(chosen, n_concepts)
-    local_hid, _ = cc.local_aggregate(hidden_in, concepts_hid, links_hid,
-                                      params.hidden_local, slope)
+    local_hid, _ = cc.local_aggregate(hidden_in, concepts_hid, links_hid, params.hidden_local)
     retrieval_hid = None
     if config.memory_hidden:
         retrieval_hid = global_aggregate(local_hid, Tensor(banks["hidden"].items))
@@ -186,12 +174,10 @@ def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams
     individual_in = ad.subtract(hidden_in, refined_hid)
 
     # individual stage
-    local_ind = cc.individual_features(individual_in, params.individual, slope)
+    local_ind = cc.individual_features(individual_in, params.individual)
 
-    forecasts = [
-        ad.leaky_relu(cc.affine(feat, params.forecast), slope)
-        for feat in (local_pre, local_hid, local_ind)
-    ]
+    forecasts = [ad.leaky_relu(cc.affine(feat, params.forecast))
+                 for feat in (local_pre, local_hid, local_ind)]
     combined = ad.add(ad.add(forecasts[0], forecasts[1]), forecasts[2])
     predictions = ad.reshape(cc.affine(combined, params.output), (n_stocks,))
 

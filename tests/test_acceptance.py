@@ -28,7 +28,7 @@ from oracles import (finite_difference, max_rel_error, pearson_direct,
 MARKET_SPEC = SyntheticSpec(n_stocks=20, n_concepts=4, n_dates=300,
                             noise_sigma=0.02, seed=3)
 ABLATION_SEEDS = [0, 1, 2, 3, 4]
-TRAIN_KNOBS = dict(learning_rate=0.05, momentum=0.0, epochs=8, patience=8)
+TRAIN_KNOBS = dict(learning_rate=0.05, epochs=8, patience=8)
 MODEL_KNOBS = dict(embed_width=16, memory_items=8)
 
 

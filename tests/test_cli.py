@@ -125,6 +125,7 @@ class TestTrainEval:
         assert main(["train", "--config", str(bad), "--checkpoint", str(tmp_path / "x.bin")]) == 1
         assert "embed_width" in capsys.readouterr().err
 
+    # momentum is retired, so 1.0 is now an unknown key: still exit 1
     @pytest.mark.parametrize("key, value", [("epochs", 0), ("learning_rate", float("inf")),
                                             ("learning_rate", 0.0), ("momentum", 1.0),
                                             ("seed", -1)])
@@ -140,7 +141,7 @@ class TestTrainEval:
         assert not ckpt.exists()
 
     @pytest.mark.parametrize("key, value", [("embed_width", 0), ("memory_items", 0),
-                                            ("leaky_slope", float("nan")),
+                                            ("leaky_slope", float("nan")),  # retired: unknown
                                             ("concept_capacity", 0)])
     def test_out_of_range_model_value_is_usage_error(self, config_path, tmp_path, capsys,
                                                      key, value):
@@ -278,6 +279,16 @@ class TestFileBoundary:
         assert main([command, *args]) == 2
         err = capsys.readouterr().err
         assert "data error" in err and str(tmp_path) in err
+
+    @pytest.mark.parametrize("command", ["ablate", "eval"])
+    def test_report_path_checked_before_the_work(self, config_path, checkpoint_path, tmp_path,
+                                                 capsys, command):
+        args = {"ablate": ["--config", str(config_path), "--seeds", "4"],
+                "eval": ["--checkpoint", str(checkpoint_path)]}[command]
+        assert main([command, *args, "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert "data error" in err and str(tmp_path) in err
+        assert out == ""  # no "[B seed=" progress line, no summary table
 
     @pytest.mark.parametrize("flag", ["--checkpoint", "--log"])
     @pytest.mark.parametrize("where", ["directory", "missing directory"])

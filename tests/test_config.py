@@ -25,14 +25,12 @@ HUGE = 10**400  # a JSON integer too large for a float64
 # per ranged field: values at the ends of its range, and values just outside
 ENDS = {
     (TrainConfig, "learning_rate"): ([5e-324, BIG], [0, -0.0, math.inf, math.nan, HUGE]),
-    (TrainConfig, "momentum"): ([0, BELOW_ONE], [-5e-324, 1, math.nan]),
     (TrainConfig, "epochs"): ([1], [0]),
     (TrainConfig, "patience"): ([0], [-1]),
     (TrainConfig, "seed"): ([0], [-1]),
     (ModelConfig, "embed_width"): ([1], [0]),
     (ModelConfig, "memory_items"): ([1], [0]),
     (ModelConfig, "concept_capacity"): ([1, None], [0]),
-    (ModelConfig, "leaky_slope"): ([-BIG, BIG], [-math.inf, math.inf, math.nan, HUGE, -HUGE]),
     (ModelConfig, "seed"): ([0], [-1]),
     (SyntheticSpec, "n_stocks"): ([1], [0]),
     (SyntheticSpec, "n_concepts"): ([1], [0]),

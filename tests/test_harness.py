@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mtmd import metrics as mx
 from mtmd.checkpoint import FORMAT_VERSION, Checkpoint, load_checkpoint, save_checkpoint
+from mtmd.cli import main
 from mtmd.config import check_config
 from mtmd.data import ConceptGraph, FeaturePanel, SyntheticSpec, generate_synthetic
 from mtmd.errors import DataError, NumericError, UsageError
@@ -321,6 +322,7 @@ class TestConfigValueTypes:
 
 
 class TestConfigValueRanges:
+    # momentum is retired: any value of it is now an unknown key, still named
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", 0), ("learning_rate", -0.1), ("learning_rate", float("nan")),
         ("learning_rate", float("inf")), ("momentum", -0.1), ("momentum", 1),
@@ -332,10 +334,8 @@ class TestConfigValueRanges:
             TrainConfig.from_dict({key: value})
 
     def test_range_ends_accepted(self):
-        cfg = TrainConfig.from_dict({"learning_rate": 1e-300, "momentum": 0.0,
-                                     "epochs": 1, "patience": 0})
+        cfg = TrainConfig.from_dict({"learning_rate": 1e-300, "epochs": 1, "patience": 0})
         assert (cfg.learning_rate, cfg.epochs, cfg.patience) == (1e-300, 1, 0)
-        assert TrainConfig.from_dict({"momentum": 0.999}).momentum == 0.999
 
     def test_out_of_range_checkpoint_config_is_data_error(self, trained):
         ckpt, _ = trained
@@ -368,9 +368,9 @@ class TestCheckpointVersion1:
 
     def test_saved_again_as_current_version(self, tmp_path):
         ckpt = load_checkpoint(str(FIXTURES / "v1_width2.ckpt"))
-        path = tmp_path / "v2.ckpt"
+        path = tmp_path / "v3.ckpt"
         save_checkpoint(ckpt, str(path))
-        assert path.read_bytes()[4:8] == struct.pack("<I", FORMAT_VERSION) == struct.pack("<I", 2)
+        assert path.read_bytes()[4:8] == struct.pack("<I", FORMAT_VERSION) == struct.pack("<I", 3)
         again = load_checkpoint(str(path))
         assert again.config == ckpt.config
         for name, tensor in ckpt.tensors.items():
@@ -380,18 +380,87 @@ class TestCheckpointVersion1:
         panel, graph = market
         ckpt = load_checkpoint(str(FIXTURES / "v1_width2.ckpt"))
         ckpt.config["train"]["reset_banks_each_epoch"] = False
-        path = tmp_path / "v2.ckpt"
+        path = tmp_path / "v3.ckpt"
         save_checkpoint(ckpt, str(path))
         with pytest.raises(DataError, match="reset_banks_each_epoch"):
             evaluate(load_checkpoint(str(path)), "test", panel=panel, graph=graph)
 
     def test_unknown_version_is_data_error(self, tmp_path):
         blob = bytearray((FIXTURES / "v1_width2.ckpt").read_bytes())
-        blob[4:8] = struct.pack("<I", 3)
-        path = tmp_path / "v3.ckpt"
+        blob[4:8] = struct.pack("<I", 4)
+        path = tmp_path / "v4.ckpt"
         path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="version 3"):
+        with pytest.raises(DataError, match="version 4"):
             load_checkpoint(str(path))
+
+
+def with_config(source: Path, path: Path, edit) -> Path:
+    """Write ``source`` to ``path`` with ``edit`` applied to its config and
+    every other byte, the format version word included, kept."""
+    blob = source.read_bytes()
+    (length,) = struct.unpack("<I", blob[8:12])
+    meta = json.loads(blob[12:12 + length])
+    edit(meta["config"])
+    text = json.dumps(meta, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + length:])
+    return path
+
+
+class TestCheckpointVersion2:
+    """``fixtures/v2_width2.ckpt`` is a format-2 checkpoint saved by the code
+    before format 3, with the recipe of the version-1 fixture.  That code
+    wrote its test-split ``evaluate`` report and ``export_embeddings`` file
+    byte for byte equal to the version-1 ones, so those files serve both."""
+
+    FILE = FIXTURES / "v2_width2.ckpt"
+
+    def test_scores_and_exports_the_same_bytes(self, market, tmp_path):
+        panel, graph = market
+        assert self.FILE.read_bytes()[4:8] == struct.pack("<I", 2)
+        ckpt = load_checkpoint(str(self.FILE))
+        assert "momentum" not in ckpt.config["train"]
+        assert "leaky_slope" not in ckpt.config["model"]
+        assert "leaky_slope" not in ckpt.config["train"]["model"]
+        report = tmp_path / "eval.csv"
+        evaluate(ckpt, "test", panel=panel, graph=graph).to_csv(str(report))
+        assert report.read_bytes() == (FIXTURES / "v1_width2_eval_test.csv").read_bytes()
+        export = tmp_path / "export.csv"
+        export_embeddings(ckpt, "test", str(export), panel=panel, graph=graph)
+        assert export.read_bytes() == (FIXTURES / "v1_width2_export_test.csv").read_bytes()
+
+    def test_any_momentum_is_dropped(self, market, tmp_path):
+        panel, graph = market
+        path = with_config(self.FILE, tmp_path / "v2.ckpt",
+                           lambda config: config["train"].update(momentum=0.9))
+        ckpt = load_checkpoint(str(path))
+        assert "momentum" not in ckpt.config["train"]
+        report = tmp_path / "eval.csv"
+        evaluate(ckpt, "test", panel=panel, graph=graph).to_csv(str(report))
+        assert report.read_bytes() == (FIXTURES / "v1_width2_eval_test.csv").read_bytes()
+
+    @pytest.mark.parametrize("section", ["model", "train.model"])
+    def test_other_leaky_slope_is_data_error(self, tmp_path, capsys, section):
+        def edit(config):
+            model = config["model"] if section == "model" else config["train"]["model"]
+            model["leaky_slope"] = 0.2
+
+        path = with_config(self.FILE, tmp_path / "v2.ckpt", edit)
+        with pytest.raises(DataError, match="leaky_slope 0.2"):
+            load_checkpoint(str(path))
+        assert main(["eval", "--checkpoint", str(path)]) == 2
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [("train", "momentum", 0.0),
+                                                     ("model", "leaky_slope", 0.01)])
+    def test_retired_key_in_current_version_is_data_error(self, market, tmp_path,
+                                                          section, key, value):
+        panel, graph = market
+        ckpt = load_checkpoint(str(self.FILE))
+        ckpt.config[section][key] = value
+        path = tmp_path / "v3.ckpt"
+        save_checkpoint(ckpt, str(path))
+        with pytest.raises(DataError, match=key):
+            evaluate(load_checkpoint(str(path)), "test", panel=panel, graph=graph)
 
 
 def test_date_without_concept_links_is_data_error(market, small_config):
@@ -522,7 +591,7 @@ class TestBatchedEvaluation:
         _, graph, ckpt, test = wide_market
         params, banks, cfg = state_from_checkpoint(ckpt)
         cfg = replace(cfg, eval_writes=True)
-        banks_ref = {k: b.copy() for k, b in banks.items()}
+        banks_ref = {k: replace(b, items=b.items.copy()) for k, b in banks.items()}
         start = {k: b.items.copy() for k, b in banks.items()}
         batched = [t.predictions.data for _, t in eval_traces(test, graph, params, banks, cfg)]
         reference = per_date_traces(test, graph, params, banks_ref, cfg)

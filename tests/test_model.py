@@ -67,7 +67,7 @@ class TestConfig:
     def test_ablation_codes_roundtrip(self):
         for code in "BPHA":
             cfg = SMALL.with_ablation(code)
-            assert cfg.ablation_code == code
+            assert (cfg.memory_predefined, cfg.memory_hidden) == mm.ABLATION_CODES[code]
 
     def test_unknown_code_rejected(self):
         with pytest.raises(ContractError):
