@@ -3,13 +3,13 @@
 File formats
 ------------
 Panel CSV      header ``date,stock_id,market_cap,price,f000..f359``; UTF-8;
-               ISO-8601 dates; one row per (date, stock).  Labels are not
+               ``YYYY-MM-DD`` dates; one row per (date, stock).  Labels are not
                stored: the loader derives each date's change rate from the
                next date's price, so the final date in a file carries no
                label and is kept only as the label source for its
                predecessor.
-Concept CSV    header ``concept_id,stock_id[,date]``; without the date
-               column the graph is static across dates.
+Concept CSV    header ``concept_id,stock_id[,date]``; ``YYYY-MM-DD`` dates;
+               without the date column the graph is static across dates.
 Truth sidecar  ``membership.csv`` (``concept_id,stock_id``) and
                ``factors.csv`` (``date,concept_id,value``) written next to
                generated panels for verification experiments.
@@ -42,6 +42,15 @@ FACTOR_INNOVATION_STD = 0.015
 
 PANEL_BASE_COLUMNS = ("date", "stock_id", "market_cap", "price")
 FEATURE_COLUMNS = tuple(f"f{i:03d}" for i in range(FEATURE_WIDTH))
+
+
+def is_iso_date(text: str) -> bool:
+    """True for a date spelt ``YYYY-MM-DD``, the one spelling that orders as
+    text (``date.fromisoformat`` also reads ``20180303`` and ``2018-W09-6``)."""
+    try:
+        return datetime.date.fromisoformat(text).isoformat() == text
+    except ValueError:
+        return False
 
 
 def change_rate(price_t: float, price_next: float) -> float:
@@ -352,10 +361,8 @@ def load_panel(panel_path: str, concept_path: str) -> tuple[FeaturePanel, Concep
                 raise ParseError(panel_path, line,
                                  f"expected {len(expected)} columns, got {len(row)}")
             date, stock_id = row[0], row[1]
-            try:
-                datetime.date.fromisoformat(date)
-            except ValueError:
-                raise ParseError(panel_path, line, f"date {date!r} is not ISO-8601") from None
+            if not is_iso_date(date):
+                raise ParseError(panel_path, line, f"date {date!r} is not ISO-8601 YYYY-MM-DD")
             try:
                 values = np.array(row[2:], dtype=np.float64)
             except ValueError:
@@ -428,8 +435,10 @@ def load_concepts(path: str, known_stocks: set[str]) -> ConceptGraph:
             concept_id, stock_id = row[0], row[1]
             if stock_id not in known_stocks:
                 raise ParseError(path, line, f"unknown stock id {stock_id!r} in concept file")
-            concept_ids.add(concept_id)
             date = row[2] if has_date else ""
+            if date and not is_iso_date(date):
+                raise ParseError(path, line, f"date {date!r} is not ISO-8601 YYYY-MM-DD")
+            concept_ids.add(concept_id)
             if date:
                 dated.setdefault(date, set()).add((stock_id, concept_id))
             else:

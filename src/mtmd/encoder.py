@@ -4,12 +4,15 @@ Each feature row is reshaped into a 60-step sequence of 6 fields (oldest
 step first) and pushed through two stacked recurrence layers; the final
 hidden state of the top layer is the stock's temporal embedding.
 
-Each layer is a plain forward over arrays (:func:`layer_forward`, which
-saves the gate arrays) and a hand-written backward through time
-(:func:`layer_backward`).  :func:`encode_panel` puts the whole encoder on
-the tape as one node with the encoder weights as its parents;
-:func:`encode_rows` runs the same forward step off the tape, for scoring
-and export where no gradient is needed.
+The layers run as one stack, as a wavefront (Appleyard et al.,
+arXiv:1604.01946): at iteration ``k`` layer ``i`` takes its step ``k - i``,
+so that one ``np.matmul`` over a leading layer axis serves every layer.
+:func:`stack_forward` saves each step's gates and :func:`stack_backward`
+is the hand-written backward through time.  :func:`encode_panel` puts the
+whole encoder on the tape as one node with the encoder weights as its
+parents; :func:`encode_rows` runs the same forward off the tape, keeping
+only the running state, for scoring and export where no gradient is
+needed.
 """
 
 from __future__ import annotations
@@ -105,120 +108,149 @@ def init_encoder(rng: np.random.Generator, hidden: int) -> EncoderParams:
                                  init_gru_layer(rng, hidden, hidden, "encoder.l1")])
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0.0, 1.0 / d, e / d)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # exp(min(x, 0)) is exactly 1 for x >= 0 and exp(-|x|) for x < 0, so
+    # this is bitwise the two-branch form (1 or e) / (1 + e), e = exp(-|x|),
+    # without a per-element branch
+    return np.divide(np.exp(np.minimum(x, 0.0)), 1.0 + np.exp(-np.abs(x)), out=out)
 
 
-def _forward_weights(layer: GruLayerParams):
-    """The layer's weights stacked for the forward step.
+def _wavefront(x_seq: np.ndarray, layers: list[GruLayerParams], slots: int):
+    """Run the stacked layers from zero states over ``x_seq`` [steps, batch, d_in].
 
-    Returns the input-side matrix [3H, d_in] and bias [3H] (update, reset,
-    candidate; the two biases of each sigmoid gate summed), the recurrent
-    update and reset matrices fused to [2H, H], and the candidate's
-    recurrent matrix and bias.
+    At iteration ``k`` layer ``i`` runs its step ``k - i``, projecting
+    ``x_seq[k]`` (layer 0) or layer ``i - 1``'s state of the previous
+    iteration; each recurrent product is one ``np.matmul`` over the layer
+    axis.  Every layer runs every iteration: one not yet started is put back
+    to its zero state, and layer 0 past its end repeats its last input,
+    which nothing reads.  Returns the states [slots + 1, layers, batch, H]
+    and the gates (z and r [slots, 2, layers, batch, H], the candidate and
+    its recurrent term [slots, layers, batch, H]), slot ``k`` written by
+    iteration ``k`` modulo ``slots``: ``steps + layers - 1`` slots keep
+    every step, one keeps only the running state.
     """
-    w_x = np.concatenate([layer.update_x.data, layer.reset_x.data, layer.cand_x.data])
-    b_x = np.concatenate([layer.update_bx.data + layer.update_bh.data,
-                          layer.reset_bx.data + layer.reset_bh.data, layer.cand_bx.data])
-    u_zr = np.concatenate([layer.update_h.data, layer.reset_h.data])
-    return w_x, b_x, u_zr, layer.cand_h.data, layer.cand_bh.data
+    steps = x_seq.shape[0]
+    n_layers, batch, hidden = len(layers), x_seq.shape[1], layers[0].hidden_width
+    states = np.zeros((slots + 1, n_layers, batch, hidden))
+    zr_slots = np.empty((slots, 2, n_layers, batch, hidden))
+    cand_slots, cand_h_slots = (np.empty((slots, n_layers, batch, hidden)) for _ in range(2))
+    xi = np.empty((n_layers, batch, 3 * hidden))
+    # each layer's input-side matrix and bias (update, reset, candidate; the
+    # two biases of each sigmoid gate summed), the bias repeated once for
+    # every row it is added to
+    projections = []
+    for i, layer in enumerate(layers):
+        w_x = np.concatenate([layer.update_x.data, layer.reset_x.data, layer.cand_x.data])
+        b_x = np.concatenate([layer.update_bx.data + layer.update_bh.data,
+                              layer.reset_bx.data + layer.reset_bh.data, layer.cand_bx.data])
+        projections.append((xi[i], w_x.T, np.tile(b_x, (batch, 1))))
+    # the recurrent matrices stay [2H | H, H] in memory and are multiplied
+    # transposed, as BLAS did before the layers were stacked
+    u_zr = np.array([np.concatenate([layer.update_h.data, layer.reset_h.data])
+                     for layer in layers]).transpose(0, 2, 1)
+    u_c = np.array([layer.cand_h.data for layer in layers]).transpose(0, 2, 1)
+    b_c = np.array([np.tile(layer.cand_bh.data, (batch, 1)) for layer in layers])
+    # the z|r pre-activation is summed into separate z and r blocks, so the
+    # sigmoid and every use of z and r, here and in the backward, run over
+    # contiguous arrays
+    rec, zr = np.empty((n_layers, batch, 2 * hidden)), np.empty((2, n_layers, batch, hidden))
+    split = (n_layers, batch, 2, hidden)
+    rec_split, xi_zr_split = rec.reshape(split), xi[..., :2 * hidden].reshape(split)
+    zr_split, xi_c = zr.transpose(1, 2, 0, 3), xi[..., 2 * hidden:]
+    for k in range(steps + n_layers - 1):
+        h, slot = states[k % len(states)], k % slots
+        for i, (xi_i, w_t, b) in enumerate(projections):
+            np.matmul(x_seq[min(k, steps - 1)] if i == 0 else h[i - 1], w_t, out=xi_i)
+            np.add(xi_i, b, out=xi_i)
+        np.matmul(h, u_zr, out=rec)
+        np.add(rec_split, xi_zr_split, out=zr_split)
+        z, r = _sigmoid(zr, out=zr_slots[slot])
+        hl = np.matmul(h, u_c, out=cand_h_slots[slot])
+        np.add(hl, b_c, out=hl)
+        c = np.multiply(r, hl, out=cand_slots[slot])
+        np.add(c, xi_c, out=c)
+        np.tanh(c, out=c)
+        h_next = states[(k + 1) % len(states)]
+        np.add((1.0 - z) * c, z * h, out=h_next)
+        if k + 1 < n_layers:
+            h_next[k + 1:] = 0.0
+    return states, (zr_slots, cand_slots, cand_h_slots)
 
 
-def _gru_step(h: np.ndarray, xi: np.ndarray, u_zr: np.ndarray, uc: np.ndarray,
-              bch: np.ndarray):
-    """One forward step from state ``h`` [batch, H] and the step's input
-    projections ``xi`` [batch, 3H] (biases included).
+def stack_forward(x_seq: np.ndarray, layers: list[GruLayerParams]):
+    """:func:`_wavefront` keeping every step for :func:`stack_backward`.  The
+    layers share one width; layer ``i``'s state after its step ``t`` is
+    ``states[t + i + 1, i]``."""
+    if x_seq.ndim != 3 or x_seq.shape[2] != layers[0].input_width:
+        raise ShapeError(f"layer expects [steps, batch, {layers[0].input_width}], got {x_seq.shape}")
+    return _wavefront(x_seq, layers, x_seq.shape[0] + len(layers) - 1)
 
-    Returns the next state and the update gate, reset gate, candidate and
-    candidate recurrent term that the backward pass reads.
+
+def stack_backward(x_seq: np.ndarray, states: np.ndarray, gates, g: np.ndarray,
+                   layers: list[GruLayerParams]) -> list[np.ndarray]:
+    """Backpropagate ``g``, the gradient of the top layer's states
+    [steps, batch, H], through a stack run by :func:`stack_forward`: the
+    wavefront in reverse, each layer passing the gradient of its input to
+    the layer below for the next iteration.  Returns each layer's 12
+    gradients in :meth:`GruLayerParams.tensors` order.
     """
-    hidden = h.shape[1]
-    zr = _sigmoid(xi[:, :2 * hidden] + h @ u_zr.T)
-    z, r = zr[:, :hidden], zr[:, hidden:]
-    hl = h @ uc.T + bch
-    c = np.tanh(xi[:, 2 * hidden:] + r * hl)
-    return (1.0 - z) * c + z * h, z, r, c, hl
+    steps, batch, _ = x_seq.shape
+    n_layers, hidden = len(layers), layers[0].hidden_width
+    zr_slots, cand_slots, cand_h_slots = gates
+    u_z, u_r, u_c = np.array([[layer.update_h.data, layer.reset_h.data, layer.cand_h.data]
+                              for layer in layers]).transpose(1, 0, 2, 3)
+    # the input weights of the layers that pass a gradient to the one below
+    w_z, w_r, w_c = np.reshape([[layer.update_x.data, layer.reset_x.data, layer.cand_x.data]
+                                for layer in layers[1:]],
+                               (n_layers - 1, 3, hidden, hidden)).transpose(1, 0, 2, 3)
 
-
-def layer_forward(x_seq: np.ndarray, layer: GruLayerParams):
-    """Run one layer from a zero state over a [steps, batch, d_in] sequence.
-
-    Returns the states [steps + 1, batch, hidden] (``states[0]`` is zero)
-    and the update gate, reset gate, candidate and candidate recurrent term
-    of each step, each [steps, batch, hidden], for :func:`layer_backward`.
-    """
-    if x_seq.ndim != 3 or x_seq.shape[2] != layer.input_width:
-        raise ShapeError(f"layer expects [steps, batch, {layer.input_width}], got {x_seq.shape}")
-    steps, batch, d_in = x_seq.shape
-    hidden = layer.hidden_width
-    w_x, b_x, u_zr, uc, bch = _forward_weights(layer)
-
-    # input-side projections for the whole sequence in one shot
-    xi = (x_seq.reshape(steps * batch, d_in) @ w_x.T).reshape(steps, batch, 3 * hidden) + b_x
-
-    states = np.zeros((steps + 1, batch, hidden))
-    # four arrays, not one [4, steps, batch, hidden] block: under glibc's
-    # malloc, one 25 MB block per layer (100 stocks, width 128) raised the
-    # peak RSS of a training run by 10%
-    gates = tuple(np.empty((steps, batch, hidden)) for _ in range(4))
-    zs, rs, cands, cand_h_lin = gates
-    for t in range(steps):
-        states[t + 1], zs[t], rs[t], cands[t], cand_h_lin[t] = _gru_step(
-            states[t], xi[t], u_zr, uc, bch)
-    return states, gates
-
-
-def layer_backward(x_seq: np.ndarray, states: np.ndarray, gates: tuple[np.ndarray, ...],
-                   g: np.ndarray, layer: GruLayerParams, input_grad: bool):
-    """Backpropagate ``g``, the gradient of the states ``states[1:]``
-    [steps, batch, hidden], through one layer run by :func:`layer_forward`.
-
-    Returns the gradient of ``x_seq`` (``None`` unless ``input_grad``) and
-    the layer's 12 gradients in :meth:`GruLayerParams.tensors` order.
-    """
-    steps, batch, d_in = x_seq.shape
-    hidden = layer.hidden_width
-    wz, uz = layer.update_x.data, layer.update_h.data
-    wr, ur = layer.reset_x.data, layer.reset_h.data
-    wc, uc = layer.cand_x.data, layer.cand_h.data
-    zs, rs, cands, cand_h_lin = gates
-
-    # per-step gate gradients side by side, [gc | gz | gr | ghl], so the
-    # input weights' gradients (candidate, update, reset) are one product
-    # with the first 3H columns, the recurrent weights' (update, reset,
-    # candidate) one with the last 3H, and the biases one sum; each element
-    # is the same batch reduction as a per-gate product
-    buf = np.empty((batch, 4 * hidden))
-    gc, gz, gr, ghl = np.split(buf, 4, axis=1)
-    g_w = np.zeros((3 * hidden, d_in))
-    g_u = np.zeros((3 * hidden, hidden))
-    g_b = np.zeros(4 * hidden)
-    gx = np.empty((steps, batch, d_in)) if input_grad else None
-    carry = np.zeros((batch, hidden))
-    for t in range(steps - 1, -1, -1):
-        gh = g[t] + carry
-        h_prev, z, r, c, hl = states[t], zs[t], rs[t], cands[t], cand_h_lin[t]
+    # per-step gate gradients side by side, [gc | gz | gr | ghl], so each
+    # layer's input weights' gradients (candidate, update, reset) are one
+    # product with the first 3H columns, the recurrent weights' (update,
+    # reset, candidate) one with the last 3H, and the biases one sum; each
+    # element is the same batch reduction as a per-gate product
+    buf = np.empty((n_layers, batch, 4 * hidden))
+    gc, gz, gr, ghl = np.split(buf, 4, axis=2)
+    g_w = [np.zeros((3 * hidden, layer.input_width)) for layer in layers]
+    g_u = np.zeros((n_layers, 3 * hidden, hidden))
+    g_b = np.zeros((n_layers, 4 * hidden))
+    buf_w = [buf[i, :, :3 * hidden].T for i in range(n_layers)]
+    buf_u = buf[:, :, hidden:].transpose(0, 2, 1)
+    # the gradient entering each layer's state at its current step: the
+    # top layer's from g, a lower layer's from the layer above
+    g_in = np.zeros((n_layers, batch, hidden))
+    carry = np.zeros((n_layers, batch, hidden))
+    for k in range(steps + n_layers - 2, -1, -1):
+        # a lower layer past its last step gets zero gradients, and so does
+        # a layer before it starts: both add exact zeros
+        g_in[-1] = g[k - n_layers + 1] if k >= n_layers - 1 else 0.0
+        if k + 1 < n_layers:
+            carry[k + 1:] = 0.0
+        gh = g_in + carry
+        h_prev, (z, r) = states[k], zr_slots[k]
+        c, hl = cand_slots[k], cand_h_slots[k]
         one_minus_z = 1.0 - z
         np.multiply(gh * (h_prev - c) * z, one_minus_z, out=gz)
         np.multiply(gh * one_minus_z, 1.0 - c * c, out=gc)
         np.multiply(gc, r, out=ghl)
         np.multiply(gc * hl * r, 1.0 - r, out=gr)
-        g_w += buf[:, :3 * hidden].T @ x_seq[t]
-        g_u += buf[:, hidden:].T @ h_prev
-        g_b += buf.sum(axis=0)
-        # gx and carry stay three products added in this order: one fused
-        # product would change the order of the sums, and so the bits of
-        # every checkpoint
-        if gx is not None:
-            gx[t] = gz @ wz + gr @ wr + gc @ wc
-        carry = gh * z + gz @ uz + gr @ ur + ghl @ uc
-    g_wc, g_wz, g_wr = np.split(g_w, 3)
-    g_uz, g_ur, g_uc = np.split(g_u, 3)
-    g_bcx, g_bz, g_br, g_bch = np.split(g_b, 4)
-    # the two biases of each sigmoid gate share one gradient
-    return gx, [g_wz, g_uz, g_bz, g_bz, g_wr, g_ur, g_br, g_br, g_wc, g_uc, g_bcx, g_bch]
+        for i in range(n_layers):
+            g_w[i] += buf_w[i] @ (x_seq[min(k, steps - 1)] if i == 0 else h_prev[i - 1])
+        g_u += np.matmul(buf_u, h_prev)
+        g_b += buf.sum(axis=1)
+        # the input gradient and the carry stay three products added in
+        # this order: one fused product would change the order of the
+        # sums, and so the bits of every checkpoint
+        np.add(np.matmul(gz[1:], w_z) + np.matmul(gr[1:], w_r), np.matmul(gc[1:], w_c),
+               out=g_in[:-1])
+        np.add(gh * z + np.matmul(gz, u_z) + np.matmul(gr, u_r), np.matmul(ghl, u_c), out=carry)
+    grads = []
+    for g_wi, g_ui, g_bi in zip(g_w, g_u, g_b):
+        (g_wc, g_wz, g_wr), (g_uz, g_ur, g_uc) = np.split(g_wi, 3), np.split(g_ui, 3)
+        g_bcx, g_bz, g_br, g_bch = np.split(g_bi, 4)
+        # the two biases of each sigmoid gate share one gradient
+        grads += [g_wz, g_uz, g_bz, g_bz, g_wr, g_ur, g_br, g_br, g_wc, g_uc, g_bcx, g_bch]
+    return grads
 
 
 def _lookback_sequence(features: np.ndarray, caller: str) -> np.ndarray:
@@ -235,43 +267,27 @@ def encode_panel(features: np.ndarray, params: EncoderParams) -> Tensor:
 
     The result is one tape node whose parents are the encoder's weights:
     features are data, not parameters.  Its backward pass runs
-    :func:`layer_backward` from the top layer down, the top layer's
-    gradient entering at the last step only.  Rows are independent, so the
-    output is row-permutation equivariant.
+    :func:`stack_backward`, the top layer's gradient entering at the last
+    step only.  Rows are independent, so the output is row-permutation
+    equivariant.
     """
     x_seq = _lookback_sequence(features, "encode_panel")
-    runs = []
-    for layer in params.layers:
-        states, gates = layer_forward(x_seq, layer)
-        runs.append((x_seq, states, gates))
-        x_seq = states[1:]
+    states, gates = stack_forward(x_seq, params.layers)
 
     def grad_fn(g):
-        g_seq = np.zeros(x_seq.shape)
+        g_seq = np.zeros((x_seq.shape[0],) + g.shape)
         g_seq[-1] = g
-        grads = []
-        for i in reversed(range(len(runs))):
-            g_seq, layer_grads = layer_backward(*runs[i], g_seq, params.layers[i], i > 0)
-            grads[:0] = layer_grads
-        return grads
+        return stack_backward(x_seq, states, gates, g_seq, params.layers)
 
-    return ad._node(x_seq[-1].copy(), tuple(params.tensors()), grad_fn)
+    return ad._node(states[-1, -1].copy(), tuple(params.tensors()), grad_fn)
 
 
 def encode_rows(features, params: EncoderParams) -> np.ndarray:
-    """:func:`encode_panel`'s output as a plain array, computed off the tape.
-
-    All layers advance together one step at a time with the same step
-    function as :func:`layer_forward`, keeping only each layer's running
-    state: no step's gates or projections are stored.  Rows are independent,
+    """:func:`encode_panel`'s output as a plain array, computed off the tape by
+    the same forward keeping only the running state.  Rows are independent,
     so any set of rows (several dates' cross-sections, say) can be encoded
     in one call.
     """
-    seq = _lookback_sequence(features, "encode_rows")
-    weights = [_forward_weights(layer) for layer in params.layers]
-    states = [np.zeros((seq.shape[1], layer.hidden_width)) for layer in params.layers]
-    for x_t in seq:
-        for i, (w_x, b_x, u_zr, uc, bch) in enumerate(weights):
-            states[i] = _gru_step(states[i], x_t @ w_x.T + b_x, u_zr, uc, bch)[0]
-            x_t = states[i]
-    return states[-1]
+    x_seq = _lookback_sequence(features, "encode_rows")
+    states, _ = _wavefront(x_seq, params.layers, 1)
+    return states[(x_seq.shape[0] + len(params.layers) - 1) % 2, -1].copy()

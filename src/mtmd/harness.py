@@ -19,7 +19,7 @@ from . import autodiff as ad
 from . import metrics as mx
 from .checkpoint import Checkpoint
 from .config import Config, ranged
-from .data import ConceptGraph, DateSlice, FeaturePanel, load_panel, quote_cell
+from .data import ConceptGraph, DateSlice, FeaturePanel, is_iso_date, load_panel, quote_cell
 from .encoder import encode_rows
 from .errors import DataError, NumericError, UsageError
 from .memory import MemoryBank
@@ -51,6 +51,10 @@ class TrainConfig(Config):
 
     def __post_init__(self):
         super().__post_init__()
+        for key in ("train_end", "valid_end"):
+            value = getattr(self, key)
+            if value and not is_iso_date(value):
+                raise UsageError(f"TrainConfig key {key!r} must be a YYYY-MM-DD date, got {value!r}")
         if self.train_end and self.valid_end and not self.train_end < self.valid_end:
             raise UsageError("split boundaries must satisfy train_end < valid_end")
 

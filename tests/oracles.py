@@ -4,7 +4,8 @@ Everything here is deliberately brute-force and shares no code with the
 package: central finite differences for gradients, a GRU step and its
 backpropagation through time written from the textbook equations,
 direct-formula Pearson, enumeration-based average ranks, naive top-N
-counting, and a panel CSV reader and writer that convert one cell at a time.
+counting, the two-branch sigmoid, and panel and concept CSV readers and a
+panel writer that convert one cell at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
+import re
 from typing import Callable
 
 import numpy as np
@@ -59,6 +61,14 @@ def max_rel_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray
 
 def _sigmoid(v):
     return 1.0 / (1.0 + np.exp(-v))
+
+
+def sigmoid_two_branch(x: np.ndarray) -> np.ndarray:
+    """The logistic function as ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)``
+    below, with ``e = exp(-|x|)``: no overflow at either end."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0.0, 1.0 / d, e / d)
 
 
 def _gru_gates(x: np.ndarray, h: np.ndarray, w: dict[str, np.ndarray]):
@@ -167,6 +177,58 @@ def precision_top_n_naive(pred: np.ndarray, positive: np.ndarray, n: int) -> flo
     return 100.0 * hits / len(taken)
 
 
+DATE_TEXT = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
+
+
+def is_yyyy_mm_dd(text: str) -> bool:
+    """True for four, two and two ASCII digits joined by dashes that name a
+    calendar date."""
+    match = DATE_TEXT.fullmatch(text)
+    if match is None:
+        return False
+    try:
+        datetime.date(*(int(part) for part in match.groups()))
+    except ValueError:
+        return False
+    return True
+
+
+def load_concepts_reference(path: str, known_stocks: set[str]):
+    """Read a concept CSV one cell at a time with the checks of the package's
+    loader, in its order.
+
+    Returns the sorted concept ids, the static links and the dated links
+    (date -> set of ``(stock_id, concept_id)``).  A file the package must
+    reject raises ``ValueError`` carrying the message the package's error
+    must carry.
+    """
+    concepts, static, dated = set(), set(), {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header not in (["concept_id", "stock_id"], ["concept_id", "stock_id", "date"]):
+            raise ValueError(f"{path}:1: bad concept header; expected concept_id,stock_id[,date]")
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
+            if row[1] not in known_stocks:
+                raise ValueError(f"{path}:{line}: unknown stock id {row[1]!r} in concept file")
+            date = row[2] if len(row) == 3 else ""
+            if date and not is_yyyy_mm_dd(date):
+                raise ValueError(f"{path}:{line}: date {date!r} is not ISO-8601 YYYY-MM-DD")
+            concepts.add(row[0])
+            if date:
+                dated.setdefault(date, set()).add((row[1], row[0]))
+            else:
+                static.add((row[1], row[0]))
+    if not concepts:
+        raise ValueError(f"{path}:1: concept file has no stock-concept links")
+    return sorted(concepts), static, dated
+
+
 PANEL_HEADER = (["date", "stock_id", "market_cap", "price"]
                 + [f"f{i:03d}" for i in range(360)])
 
@@ -206,10 +268,8 @@ def load_panel_reference(path: str) -> list[dict]:
                 raise ValueError(f"{path}:{line}: expected {len(PANEL_HEADER)} columns, "
                                  f"got {len(row)}")
             date, stock_id = row[0], row[1]
-            try:
-                datetime.date.fromisoformat(date)
-            except ValueError:
-                raise ValueError(f"{path}:{line}: date {date!r} is not ISO-8601") from None
+            if not is_yyyy_mm_dd(date):
+                raise ValueError(f"{path}:{line}: date {date!r} is not ISO-8601 YYYY-MM-DD")
             values = []
             for column, text in zip(PANEL_HEADER[2:], row[2:]):
                 try:

@@ -168,6 +168,30 @@ class TestTrainEval:
         assert main(["train", "--config", str(bad), "--checkpoint", str(tmp_path / "x.bin")]) == 1
         assert "train_end < valid_end" in capsys.readouterr().err
 
+    def test_non_canonical_split_boundary_is_usage_error(self, config_path, tmp_path, capsys):
+        # YYYYMMDD keeps the two boundaries in order as text, but not
+        # against the panel's YYYY-MM-DD dates
+        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        cfg["train_end"], cfg["valid_end"] = (cfg[k].replace("-", "") for k in ("train_end", "valid_end"))
+        bad = tmp_path / "splits.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        ckpt = tmp_path / "x.bin"
+        assert main(["train", "--config", str(bad), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "train_end" in err
+        assert not ckpt.exists()
+
+    def test_eval_non_canonical_checkpoint_boundary_is_data_error(self, checkpoint_path,
+                                                                  tmp_path, capsys):
+        ckpt = load_checkpoint(str(checkpoint_path))
+        for key in ("train_end", "valid_end"):
+            ckpt.config["train"][key] = ckpt.config["train"][key].replace("-", "")
+        bad = tmp_path / "ends.bin"
+        save_checkpoint(ckpt, str(bad))
+        assert main(["eval", "--checkpoint", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "train_end" in err and "YYYY-MM-DD" in err
+
     def test_negative_seed_flag_is_usage_error(self, config_path, tmp_path, capsys):
         ckpt = tmp_path / "x.bin"
         assert main(["train", "--config", str(config_path), "--seed", "-3",

@@ -203,6 +203,24 @@ class TestLoadPanelValidation:
         with pytest.raises(ParseError, match="ISO-8601"):
             md.load_panel(ppath, _write(tmp_path / "c.csv", "concept_id,stock_id\n"))
 
+    @pytest.mark.parametrize("spelling", ["20200102", "2020-W01-4", "2020W014"])
+    def test_non_canonical_date_rejected(self, tmp_path, spelling):
+        # date.fromisoformat reads each of these as 2020-01-02, but dates
+        # are ordered as text, which only the YYYY-MM-DD spelling keeps
+        ppath = _write(tmp_path / "p.csv", tiny_panel_text([
+            "2020-01-01,A,1.0,100.0", f"{spelling},A,1.0,101.0", "2020-01-03,A,1.0,102.0"]))
+        with pytest.raises(ParseError, match=rf"p\.csv:3: date '{spelling}' is not"):
+            md.load_panel(ppath, _write(tmp_path / "c.csv", "concept_id,stock_id\nC1,A\n"))
+
+    @pytest.mark.parametrize("spelling", ["20200102", "2020-W01-4", "01/02/2020", "2020-1-2"])
+    def test_non_canonical_concept_date_rejected(self, tmp_path, spelling):
+        ppath = _write(tmp_path / "p.csv", tiny_panel_text([
+            "2020-01-01,A,1.0,100.0", "2020-01-02,A,1.0,101.0"]))
+        cpath = _write(tmp_path / "c.csv",
+                       f"concept_id,stock_id,date\nC1,A,2020-01-01\nC2,A,{spelling}\n")
+        with pytest.raises(ParseError, match=rf"c\.csv:3: date '{spelling}' is not"):
+            md.load_panel(ppath, cpath)
+
     def test_universe_mismatch_rejected(self, tmp_path):
         text = tiny_panel_text([
             "2020-01-01,A,1.0,100.0",
@@ -301,6 +319,51 @@ class TestLoadPanelFuzz:
 
 STOCK_ID_TEXT = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)),
                                   st.sampled_from([",", '"', "\r", "\n", " "])), max_size=6)
+
+
+QUOTED_ID = 'Q,"1\n'  # a known stock id that the CSV writer must quote
+
+
+@pytest.fixture(scope="module")
+def concept_rows():
+    """The rows of a dated concept file, static and dated links, and its known stocks."""
+    panel, graph, _ = md.generate_synthetic(md.SyntheticSpec(n_stocks=3, n_concepts=2,
+                                                             n_dates=63, seed=7))
+    ids, dates = panel.slices[0].stock_ids, panel.dates
+    rows = [["concept_id", "stock_id", "date"]]
+    rows += [[concept, stock, ""] for stock, concept in sorted(graph.static_links)]
+    rows += [["C9", ids[0], dates[0]], ["C8", QUOTED_ID, dates[-1]], ["C8", ids[1], dates[-1]]]
+    return rows, set(ids) | {QUOTED_ID}
+
+
+class TestLoadConceptsFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_corrupt_cell_loads_like_reference(self, concept_rows, scratch, data):
+        rows, known = concept_rows
+        rows = [list(r) for r in rows]
+        line = data.draw(st.integers(1, len(rows) - 1), label="row")
+        kind = data.draw(st.sampled_from(["date", "stock", "concept", "columns"]), label="kind")
+        if kind == "date":
+            rows[line][2] = data.draw(DATE_CORRUPTIONS, label="text")
+        elif kind == "columns":
+            rows[line] = data.draw(st.sampled_from([rows[line][:2], rows[line] + [""],
+                                                    rows[line][:1]]), label="cells")
+        else:
+            ids = st.sampled_from(sorted(known)) | STOCK_ID_TEXT
+            rows[line][1 if kind == "stock" else 0] = data.draw(ids, label="text")
+        path = scratch / "corrupt_concepts.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        try:
+            want = oracles.load_concepts_reference(str(path), known)
+        except ValueError as exc:
+            with pytest.raises(DataError) as info:
+                md.load_concepts(str(path), known)
+            assert str(info.value) == str(exc)
+            return
+        graph = md.load_concepts(str(path), known)
+        assert (graph.concept_ids, graph.static_links, graph.dated_links) == want
 
 
 class TestWritePanelFuzz:

@@ -2,12 +2,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mtmd import autodiff as ad
 from mtmd import encoder as enc
 from mtmd.errors import ShapeError
 
-from oracles import finite_difference, gru_bptt, gru_step, max_rel_error
+from oracles import finite_difference, gru_bptt, gru_step, max_rel_error, sigmoid_two_branch
 
 
 def zero_layer(hidden, d_in):
@@ -28,114 +31,194 @@ def layer_arrays(layer: enc.GruLayerParams) -> dict[str, np.ndarray]:
     return {f.name: getattr(layer, f.name).data for f in fields(layer)}
 
 
-def one_step(x: np.ndarray, h: np.ndarray, layer: enc.GruLayerParams) -> np.ndarray:
-    """The encoder's forward step from input rows ``x`` and state ``h``."""
-    w_x, b_x, u_zr, uc, bch = enc._forward_weights(layer)
-    return enc._gru_step(h, x @ w_x.T + b_x, u_zr, uc, bch)[0]
+def layer_states(states: np.ndarray, layer: int, steps: int) -> np.ndarray:
+    """Layer ``layer``'s state after each of its steps, [steps, batch, H],
+    out of :func:`encoder.stack_forward`'s iteration-indexed states."""
+    return states[layer + 1:layer + 1 + steps, layer]
+
+
+def one_step(x: np.ndarray, layer: enc.GruLayerParams) -> np.ndarray:
+    """The encoder's first step from input rows ``x``, as a one-step sequence."""
+    states, _ = enc.stack_forward(x[None], [layer])
+    return layer_states(states, 0, 1)[0]
 
 
 class TestGruCell:
-    """A single recurrence step from a given state."""
+    """A single recurrence step from the zero state."""
 
     def test_zero_params_zero_state_gives_zero(self):
         layer = zero_layer(4, 3)
-        out = one_step(np.array([[1.0, -2.0, 3.0]]), np.zeros((1, 4)), layer)
+        out = one_step(np.array([[1.0, -2.0, 3.0]]), layer)
         assert np.array_equal(out, np.zeros((1, 4)))
 
     def test_saturated_update_gate_copies_state(self):
         layer = zero_layer(4, 3)
+        layer.cand_bx = ad.Tensor(np.full(4, 1.0))
+        x = np.array([[1.0, 2.0, 3.0]])
+        # the candidate is tanh(1) everywhere; with the update gate open the
+        # step takes half of it, with the gate saturated it keeps the zero state
+        assert np.allclose(one_step(x, layer), 0.5 * np.tanh(1.0), atol=1e-15)
         layer.update_bx = ad.Tensor(np.full(4, 50.0))
-        h = np.array([[0.3, -0.7, 1.1, 0.0]])
-        out = one_step(np.array([[1.0, 2.0, 3.0]]), h, layer)
-        assert np.allclose(out, h, atol=1e-12)
+        assert np.allclose(one_step(x, layer), 0.0, atol=1e-12)
 
     def test_matches_fused_sequence(self):
         rng = np.random.default_rng(3)
         layer = enc.init_gru_layer(rng, 5, 3, "l")
         x = rng.normal(size=(2, 3))
-        h = rng.normal(size=(2, 5))
-        expected = gru_step(x, h, layer_arrays(layer))
-        assert np.max(np.abs(one_step(x, h, layer) - expected)) <= 1e-13
+        expected = gru_step(x, np.zeros((2, 5)), layer_arrays(layer))
+        assert np.max(np.abs(one_step(x, layer) - expected)) <= 1e-13
 
 
-def layer_gradients(x: np.ndarray, layer: enc.GruLayerParams, g: np.ndarray,
-                    input_grad: bool = True) -> dict[str, np.ndarray]:
-    """Gradients of ``sum(g * states)`` over one layer run from a zero state,
-    keyed like :func:`oracles.gru_bptt` (``h0`` aside)."""
-    states, gates = enc.layer_forward(x, layer)
-    gx, grads = enc.layer_backward(x, states, gates, g, layer, input_grad)
-    out = {f.name: grad for f, grad in zip(fields(layer), grads)}
-    if gx is not None:
-        out["x"] = gx
-    return out
+def stack_gradients(x: np.ndarray, layers: list[enc.GruLayerParams],
+                    g: np.ndarray) -> list[dict[str, np.ndarray]]:
+    """Per layer, the gradients of ``sum(g * top layer's states)`` over a
+    stack run from zero states, keyed like :func:`oracles.gru_bptt`."""
+    states, gates = enc.stack_forward(x, layers)
+    grads = enc.stack_backward(x, states, gates, g, layers)
+    names = [f.name for f in fields(enc.GruLayerParams)]
+    return [dict(zip(names, grads[12 * i:12 * i + 12])) for i in range(len(layers))]
+
+
+def composed_oracle(x: np.ndarray, bottom: dict, top: dict, g: np.ndarray) -> list[dict]:
+    """The oracle for a two-layer stack: the bottom layer's states from
+    ``gru_step``, then BPTT of the top layer fed ``g``, then of the bottom
+    layer fed the top layer's input gradient."""
+    h, bottom_states = np.zeros((x.shape[1], bottom["update_h"].shape[0])), []
+    for x_t in x:
+        h = gru_step(x_t, h, bottom)
+        bottom_states.append(h)
+    h0 = np.zeros_like(h)
+    want_top = gru_bptt(np.array(bottom_states), h0, top, g)
+    want_bottom = gru_bptt(x, h0, bottom, want_top["x"])
+    return [{name: want[name] for name in bottom} for want in (want_bottom, want_top)]
+
+
+def assert_gradients_close(got: list[dict], want: list[dict], tol: float) -> None:
+    for i, (layer_got, layer_want) in enumerate(zip(got, want)):
+        assert sorted(layer_got) == sorted(layer_want)
+        for name, value in layer_want.items():
+            assert np.max(np.abs(layer_got[name] - value)) <= tol, (i, name)
+
+
+BPTT_SHAPES = [(60, 20, 16, 6), (5, 1, 16, 6), (4, 7, 33, 9), (6, 30, 8, 8), (3, 2, 1, 1)]
 
 
 class TestGruSequence:
-    """One recurrence layer over a sequence: layer_forward and layer_backward."""
+    """The stacked forward and backward, on one layer and on two."""
 
     def test_fused_matches_stepwise_cells(self):
         rng = np.random.default_rng(7)
         layer = enc.init_gru_layer(rng, 4, 2, "l")
         x = rng.normal(size=(6, 3, 2))
         h = np.zeros((3, 4))
-        states, _ = enc.layer_forward(x, layer)
-        assert np.array_equal(states[0], h)
+        states, _ = enc.stack_forward(x, [layer])
+        assert np.array_equal(states[0, 0], h)
         weights = layer_arrays(layer)
-        for t in range(6):
+        for t, got in enumerate(layer_states(states, 0, 6)):
             h = gru_step(x[t], h, weights)
-            assert np.max(np.abs(states[t + 1] - h)) <= 1e-13
+            assert np.max(np.abs(got - h)) <= 1e-13
+
+    def test_two_layers_match_stepwise_cells(self):
+        rng = np.random.default_rng(11)
+        layers = [enc.init_gru_layer(rng, 4, 2, "l0"), enc.init_gru_layer(rng, 4, 4, "l1")]
+        x = rng.normal(size=(5, 3, 2))
+        states, _ = enc.stack_forward(x, layers)
+        inputs = x
+        for i, layer in enumerate(layers):
+            h, expected = np.zeros((3, 4)), []
+            for x_t in inputs:
+                h = gru_step(x_t, h, layer_arrays(layer))
+                expected.append(h)
+            assert np.max(np.abs(layer_states(states, i, 5) - np.array(expected))) <= 1e-13
+            inputs = np.array(expected)
 
     def test_fused_gradients_match_finite_differences(self):
         rng = np.random.default_rng(19)
-        weights = {n: rng.normal(size=s) * 0.4 for n, s in [
-            ("update_x", (3, 2)), ("update_h", (3, 3)), ("update_bx", (3,)), ("update_bh", (3,)),
-            ("reset_x", (3, 2)), ("reset_h", (3, 3)), ("reset_bx", (3,)), ("reset_bh", (3,)),
-            ("cand_x", (3, 2)), ("cand_h", (3, 3)), ("cand_bx", (3,)), ("cand_bh", (3,)),
-        ]}
-        values = dict(weights, x=rng.normal(size=(5, 2, 2)))
+        shapes = {}
+        for li, d_in in enumerate((2, 3)):
+            for gate in ("update", "reset", "cand"):
+                shapes[f"l{li}.{gate}_x"] = (3, d_in)
+                shapes[f"l{li}.{gate}_h"] = (3, 3)
+                shapes[f"l{li}.{gate}_bx"] = (3,)
+                shapes[f"l{li}.{gate}_bh"] = (3,)
+        values = {k: rng.normal(size=s) * 0.4 for k, s in shapes.items()}
+        x = rng.normal(size=(5, 2, 2))
 
-        def states_of(vals):
-            layer = enc.GruLayerParams(**{k: ad.Tensor(vals[k]) for k in weights})
-            return enc.layer_forward(vals["x"], layer)[0][1:], layer
+        def top_states(vals, n_layers):
+            layers = [enc.GruLayerParams(**{f.name: ad.Tensor(vals[f"l{li}.{f.name}"])
+                                            for f in fields(enc.GruLayerParams)})
+                      for li in range(n_layers)]
+            states, _ = enc.stack_forward(x, layers)
+            return layer_states(states, n_layers - 1, 5), layers
 
-        out, layer = states_of(values)
-        # d sum(out * out) / d out = 2 out
-        analytic = layer_gradients(values["x"], layer, 2.0 * out)
-        numeric = finite_difference(lambda v: float(np.sum(states_of(v)[0] ** 2)), values)
-        assert max_rel_error(analytic, numeric) < 1e-4
+        # one layer, and two, where the bottom layer's gradients pass
+        # through the top layer's input gradient; d sum(out^2) / d out = 2 out
+        for n_layers in (1, 2):
+            vals = {k: v for k, v in values.items() if int(k[1]) < n_layers}
+            out, layers = top_states(vals, n_layers)
+            analytic = {f"l{li}.{name}": grad for li, layer_grads
+                        in enumerate(stack_gradients(x, layers, 2.0 * out))
+                        for name, grad in layer_grads.items()}
+            numeric = finite_difference(
+                lambda v: float(np.sum(top_states(v, n_layers)[0] ** 2)), vals)
+            assert max_rel_error(analytic, numeric) < 1e-4
 
-    @pytest.mark.parametrize("steps, batch, hidden, d_in", [
-        (60, 20, 16, 6), (5, 1, 16, 6), (4, 7, 33, 9), (6, 30, 8, 8), (3, 2, 1, 1)])
+    @pytest.mark.parametrize("steps, batch, hidden, d_in", BPTT_SHAPES)
     def test_gradients_match_bptt_oracle(self, steps, batch, hidden, d_in):
         rng = np.random.default_rng(steps * 1000 + hidden)
         layer = enc.init_gru_layer(rng, hidden, d_in, "l")
         x = rng.normal(size=(steps, batch, d_in))
         g = rng.normal(size=(steps, batch, hidden))
-        grads = layer_gradients(x, layer, g)
         expected = gru_bptt(x, np.zeros((batch, hidden)), layer_arrays(layer), g)
-        del expected["h0"]
-        assert sorted(grads) == sorted(expected)
-        for name, want in expected.items():
-            assert np.max(np.abs(grads[name] - want)) <= 1e-12, name
+        del expected["x"], expected["h0"]
+        assert_gradients_close(stack_gradients(x, [layer], g), [expected], 1e-12)
 
-    def test_weight_gradients_do_not_depend_on_input_needing_one(self):
-        rng = np.random.default_rng(31)
-        layer = enc.init_gru_layer(rng, 7, 5, "l")
-        x = rng.normal(size=(8, 6, 5))
-        g = rng.normal(size=(8, 6, 7))
-        with_x = layer_gradients(x, layer, g, input_grad=True)
-        without_x = layer_gradients(x, layer, g, input_grad=False)
-        assert "x" in with_x and "x" not in without_x
-        assert sorted(without_x) == sorted(k for k in with_x if k != "x")
-        for name, value in without_x.items():
-            assert np.array_equal(value, with_x[name]), name
+    @pytest.mark.parametrize("steps, batch, hidden, d_in", BPTT_SHAPES)
+    def test_two_layer_gradients_match_composed_oracle(self, steps, batch, hidden, d_in):
+        rng = np.random.default_rng(steps * 1000 + hidden + 1)
+        layers = [enc.init_gru_layer(rng, hidden, d_in, "l0"),
+                  enc.init_gru_layer(rng, hidden, hidden, "l1")]
+        x = rng.normal(size=(steps, batch, d_in))
+        g = rng.normal(size=(steps, batch, hidden))
+        want = composed_oracle(x, *(layer_arrays(layer) for layer in layers), g)
+        assert_gradients_close(stack_gradients(x, layers, g), want, 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.integers(1, 6), batch=st.integers(1, 9), hidden=st.integers(1, 9),
+           d_in=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_two_layer_stack_matches_composed_oracle(self, steps, batch, hidden, d_in, seed):
+        rng = np.random.default_rng(seed)
+        layers = [enc.init_gru_layer(rng, hidden, d_in, "l0"),
+                  enc.init_gru_layer(rng, hidden, hidden, "l1")]
+        x = rng.normal(size=(steps, batch, d_in))
+        g = rng.normal(size=(steps, batch, hidden))
+        want = composed_oracle(x, *(layer_arrays(layer) for layer in layers), g)
+        assert_gradients_close(stack_gradients(x, layers, g), want, 1e-12)
 
     def test_shape_validation(self):
         layer = zero_layer(4, 2)
         with pytest.raises(ShapeError):
-            enc.layer_forward(np.zeros((3, 2)), layer)
+            enc.stack_forward(np.zeros((3, 2)), [layer])
         with pytest.raises(ShapeError):
-            enc.layer_forward(np.zeros((3, 2, 3)), layer)
+            enc.stack_forward(np.zeros((3, 2, 3)), [layer])
+
+
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(x=hnp.arrays(np.float64, st.integers(1, 40),
+                        elements=st.floats(-1e308, 1e308, allow_nan=False,
+                                           allow_subnormal=True)))
+    def test_equals_two_branch_form_bitwise(self, x):
+        want = sigmoid_two_branch(x).view(np.int64)
+        assert np.array_equal(enc._sigmoid(x).view(np.int64), want)
+        # written through a strided view, as the forward writes it
+        out = np.empty((x.size, 2))
+        enc._sigmoid(x, out=out[:, 1])
+        assert np.array_equal(out[:, 1].copy().view(np.int64), want)
+
+    def test_signed_zeros_and_extremes(self):
+        x = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 745.2, -745.2])
+        assert np.array_equal(enc._sigmoid(x).view(np.int64), sigmoid_two_branch(x).view(np.int64))
 
 
 class TestEncodePanel:
@@ -226,24 +309,15 @@ class TestEncodePanel:
         out = enc.encode_panel(feats, params)
         grads = ad.backward(ad.reduce_sum(ad.multiply(out, ad.Tensor(g))))
 
-        # the oracle: the bottom layer's states from gru_step, then BPTT of
-        # the top layer with the gradient at its last step only, then of the
-        # bottom layer with the top layer's input gradient
-        bottom, top = (layer_arrays(layer) for layer in params.layers)
         x = feats.reshape(batch, enc.LOOKBACK_DAYS, enc.FIELDS_PER_DAY).transpose(1, 0, 2)
-        h, bottom_states = np.zeros((batch, hidden)), []
-        for x_t in x:
-            h = gru_step(x_t, h, bottom)
-            bottom_states.append(h)
         g_top = np.zeros((enc.LOOKBACK_DAYS, batch, hidden))
         g_top[-1] = g
-        want_top = gru_bptt(np.array(bottom_states), np.zeros((batch, hidden)), top, g_top)
-        want_bottom = gru_bptt(x, np.zeros((batch, hidden)), bottom, want_top["x"])
-        expected = {f"encoder.l{i}.{name}": want[name]
-                    for i, want in enumerate((want_bottom, want_top)) for name in bottom}
+        want = composed_oracle(x, *(layer_arrays(layer) for layer in params.layers), g_top)
+        expected = {f"encoder.l{i}.{name}": value
+                    for i, layer_want in enumerate(want) for name, value in layer_want.items()}
         assert sorted(grads) == sorted(expected)
-        for name, want in expected.items():
-            assert np.max(np.abs(grads[name] - want)) <= 1e-12, name
+        for name, value in expected.items():
+            assert np.max(np.abs(grads[name] - value)) <= 1e-12, name
 
 
 class TestEncodeRows:
@@ -253,7 +327,16 @@ class TestEncodeRows:
         feats = rng.normal(size=(9, enc.FEATURE_WIDTH))
         off_tape = enc.encode_rows(feats, params)
         assert isinstance(off_tape, np.ndarray)
-        assert np.max(np.abs(off_tape - enc.encode_panel(feats, params).data)) <= 1e-12
+        assert np.array_equal(off_tape, enc.encode_panel(feats, params).data)
+
+    @pytest.mark.parametrize("batch, hidden", [(20, 16), (100, 128)])
+    def test_bitwise_equal_to_taped_encoder(self, batch, hidden):
+        # training and scoring share one forward, so the bits are the same
+        rng = np.random.default_rng(batch + hidden)
+        params = enc.init_encoder(rng, hidden=hidden)
+        feats = rng.normal(size=(batch, enc.FEATURE_WIDTH))
+        off_tape = enc.encode_rows(feats, params)
+        assert off_tape.tobytes() == enc.encode_panel(feats, params).data.tobytes()
 
     def test_width_mismatch_rejected(self):
         params = enc.init_encoder(np.random.default_rng(0), hidden=4)

@@ -59,6 +59,15 @@ class TestSplits:
         with pytest.raises(UsageError, match="train_end < valid_end"):
             TrainConfig(train_end="2020-02-01", valid_end="2020-01-01")
 
+    @pytest.mark.parametrize("key", ["train_end", "valid_end"])
+    @pytest.mark.parametrize("spelling", ["2018-3-5", "20180305", "2018-W10-1"])
+    def test_non_canonical_boundary_rejected(self, key, spelling):
+        # compared as text, train_end "2018-3-5" would put 2018-12-01 in
+        # the training split
+        ends = {"train_end": "2018-01-01", "valid_end": "2019-01-01", key: spelling}
+        with pytest.raises(UsageError, match=rf"{key}.*YYYY-MM-DD"):
+            TrainConfig(**ends)
+
 
 class TestTrain:
     def test_deterministic_checkpoints(self, market, small_config, trained, tmp_path):
