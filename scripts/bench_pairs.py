@@ -19,6 +19,12 @@ lines, and the rounds of each run; whether the two sides printed the same
 checkpoint hashes; and the host's CPU model and core count, the numpy
 version and BLAS, and both revisions, each with a SHA-256 of its ``src``
 tree.
+
+``previous`` compares the record with the newest ``BENCH_<n>.json`` beside
+``--out`` whose ``n`` is lower than its own: for each workload and metric,
+this change's median over that file's change median.  The ratios are
+``null``, with the reason, when the two hosts differ in CPU model, numpy
+or BLAS, and a metric or workload that file lacks reads ``null``.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGE_LINE = re.compile(r"^stage\s+(\S+)\s+([0-9.]+) s for (\d+) units$")
 HASH_LINE = re.compile(r"^checkpoint (\S+) seed=\d+ sha256=([0-9a-f]+)$")
 ROUNDS = re.compile(r"rounds: (\d+);")
+BENCH_FILE = re.compile(r"^BENCH_(\d+)\.json$")
+COMPARED_HOST_KEYS = ("cpu_model", "numpy", "blas")
 
 
 def git(*args: str) -> str:
@@ -156,6 +164,38 @@ def workload_record(pairs: list[dict], end_to_end: dict[str, dict]) -> dict:
     }
 
 
+def previous_bench(out: str) -> str | None:
+    """The newest ``BENCH_<n>.json`` beside ``out`` with ``n`` below its own
+    (below none if ``out`` is not so named)."""
+    folder, name = os.path.split(os.path.abspath(out))
+    own = BENCH_FILE.match(name)
+    below = int(own.group(1)) if own else float("inf")
+    found = [(int(m.group(1)), f) for f in os.listdir(folder)
+             if (m := BENCH_FILE.match(f)) and int(m.group(1)) < below]
+    return os.path.join(folder, max(found)[1]) if found else None
+
+
+def versus_previous(record: dict, path: str | None) -> dict:
+    """Each workload and metric's change median over that of the record at ``path``."""
+    if path is None:
+        return {"file": None, "reason": "no earlier BENCH file", "ratios": None}
+    with open(path, encoding="utf-8") as fh:
+        previous = json.load(fh)
+    host = previous.get("host", {})
+    differs = [f"{key} {host.get(key)!r} -> {record['host'][key]!r}"
+               for key in COMPARED_HOST_KEYS if host.get(key) != record["host"][key]]
+    if differs:
+        return {"file": os.path.basename(path), "reason": "host differs: " + "; ".join(differs),
+                "ratios": None}
+    ratios = {}
+    for name, workload in record["workloads"].items():
+        old = previous.get("workloads", {}).get(name, {}).get("metrics", {})
+        ratios[name] = {metric: (values["change"]["median"] / old[metric]["change"]["median"]
+                                 if metric in old else None)
+                        for metric, values in workload["metrics"].items()}
+    return {"file": os.path.basename(path), "reason": None, "ratios": ratios}
+
+
 def parse_workloads(specs: list[str]) -> list[tuple[str, list[int]]]:
     out = []
     for spec in specs:
@@ -183,6 +223,7 @@ def main(argv=None) -> int:
         end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
     parent_rev = git("rev-parse", args.parent)
+    previous = previous_bench(args.out)
     record = {
         "command": f"python3 benchmark/run.py --workload W --seed S --seconds {args.seconds:g}",
         "host": host_info(),
@@ -211,6 +252,7 @@ def main(argv=None) -> int:
                     pair[side] = run_benchmark(trees[side], name, seed, args.seconds)
                 pairs.append(pair)
                 record["workloads"][name] = workload_record(pairs, end_to_end)
+                record["previous"] = versus_previous(record, previous)
                 with open(args.out, "w", encoding="utf-8") as fh:
                     json.dump(record, fh, indent=2, sort_keys=True)
                     fh.write("\n")

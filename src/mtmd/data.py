@@ -399,10 +399,16 @@ def load_panel(panel_path: str, concept_path: str) -> tuple[FeaturePanel, Concep
         caps = np.array([rows[s][1] for s in universe])
         prices = np.array([rows[s][2] for s in universe])
         feats = np.stack([rows[s][3] for s in universe])
-        raw = None
+        raw = labels = None
         if idx + 1 < len(dates):
             nxt = by_date[dates[idx + 1]]
             raw = np.array([change_rate(rows[s][2], nxt[s][2]) for s in universe])
+            labels = normalize_labels_per_date(raw)
+            # a tiny positive price can make a rate, or the rates' z-scoring,
+            # overflow into a non-finite label
+            if not np.all(np.isfinite(labels)):
+                raise DataError(f"{panel_path}: change rates from {date} to {dates[idx + 1]} "
+                                "overflow")
         slices.append(DateSlice(
             date=date,
             stock_ids=list(universe),
@@ -410,14 +416,16 @@ def load_panel(panel_path: str, concept_path: str) -> tuple[FeaturePanel, Concep
             market_caps=caps,
             prices=prices,
             raw_labels=raw,
-            labels=normalize_labels_per_date(raw) if raw is not None else None,
+            labels=labels,
         ))
     panel = FeaturePanel(slices)
-    graph = load_concepts(concept_path, set(universe))
+    graph = load_concepts(concept_path, set(universe), set(dates))
     return panel, graph
 
 
-def load_concepts(path: str, known_stocks: set[str]) -> ConceptGraph:
+def load_concepts(path: str, known_stocks: set[str], panel_dates: set[str]) -> ConceptGraph:
+    """Read a concept file whose links name ``known_stocks``; a dated link
+    must fall on one of ``panel_dates``, or it would never be used."""
     static: set[tuple[str, str]] = set()
     dated: dict[str, set[tuple[str, str]]] = {}
     concept_ids: set[str] = set()
@@ -438,6 +446,8 @@ def load_concepts(path: str, known_stocks: set[str]) -> ConceptGraph:
             date = row[2] if has_date else ""
             if date and not is_iso_date(date):
                 raise ParseError(path, line, f"date {date!r} is not ISO-8601 YYYY-MM-DD")
+            if date and date not in panel_dates:
+                raise ParseError(path, line, f"date {date!r} is not a panel date")
             concept_ids.add(concept_id)
             if date:
                 dated.setdefault(date, set()).add((stock_id, concept_id))

@@ -12,7 +12,8 @@ is the hand-written backward through time.  :func:`encode_panel` puts the
 whole encoder on the tape as one node with the encoder weights as its
 parents; :func:`encode_rows` runs the same forward off the tape, keeping
 only the running state, for scoring and export where no gradient is
-needed.
+needed.  Training passes :func:`encode_panel` an :class:`EncoderBuffers`
+set, so that each step writes its saved arrays over the previous step's.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 
 LOOKBACK_DAYS = 60
 FIELDS_PER_DAY = 6
@@ -108,6 +109,47 @@ def init_encoder(rng: np.random.Generator, hidden: int) -> EncoderParams:
                                  init_gru_layer(rng, hidden, hidden, "encoder.l1")])
 
 
+class EncoderBuffers:
+    """The arrays one training step's encoder keeps for its backward, reused
+    by the next step.
+
+    :func:`encode_panel` given a set writes its states and gates into it,
+    and in its backward the gradient of the top layer's states, instead of
+    allocating them, so a run of steps holds one step's saved arrays.  A
+    forward of another shape replaces the arrays.  Each forward into the set
+    starts a new generation, and a graph of an older generation refuses its
+    backward: its saved arrays now hold a later step.
+    """
+
+    def __init__(self):
+        self.generation = 0
+        self._shape = None
+        self._arrays = None
+
+    def take(self, steps: int, n_layers: int, batch: int, hidden: int):
+        """The states, the z|r, candidate and recurrent-candidate slots of
+        :func:`stack_forward`, and the [steps, batch, H] gradient sequence
+        (zero but at its last step, the only one written), as a new
+        generation."""
+        shape = (steps, n_layers, batch, hidden)
+        if shape != self._shape:
+            self._arrays = (*_step_arrays(steps + n_layers - 1, n_layers, batch, hidden),
+                            np.zeros((steps, batch, hidden)))
+            self._shape = shape
+        self.generation += 1
+        return self._arrays
+
+
+def _step_arrays(slots: int, n_layers: int, batch: int, hidden: int):
+    """Unfilled states [slots + 1, layers, batch, H], z|r slots
+    [slots, 2, layers, batch, H], and candidate and recurrent-candidate
+    slots [slots, layers, batch, H], for :func:`_wavefront` to write."""
+    return (np.empty((slots + 1, n_layers, batch, hidden)),
+            np.empty((slots, 2, n_layers, batch, hidden)),
+            np.empty((slots, n_layers, batch, hidden)),
+            np.empty((slots, n_layers, batch, hidden)))
+
+
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # exp(min(x, 0)) is exactly 1 for x >= 0 and exp(-|x|) for x < 0, so
     # this is bitwise the two-branch form (1 or e) / (1 + e), e = exp(-|x|),
@@ -115,7 +157,7 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(np.exp(np.minimum(x, 0.0)), 1.0 + np.exp(-np.abs(x)), out=out)
 
 
-def _wavefront(x_seq: np.ndarray, layers: list[GruLayerParams], slots: int):
+def _wavefront(x_seq: np.ndarray, layers: list[GruLayerParams], slots: int, out=None):
     """Run the stacked layers from zero states over ``x_seq`` [steps, batch, d_in].
 
     At iteration ``k`` layer ``i`` runs its step ``k - i``, projecting
@@ -127,13 +169,13 @@ def _wavefront(x_seq: np.ndarray, layers: list[GruLayerParams], slots: int):
     and the gates (z and r [slots, 2, layers, batch, H], the candidate and
     its recurrent term [slots, layers, batch, H]), slot ``k`` written by
     iteration ``k`` modulo ``slots``: ``steps + layers - 1`` slots keep
-    every step, one keeps only the running state.
+    every step, one keeps only the running state.  The four arrays are
+    ``out`` if given (:func:`_step_arrays`' shapes, contents ignored).
     """
     steps = x_seq.shape[0]
     n_layers, batch, hidden = len(layers), x_seq.shape[1], layers[0].hidden_width
-    states = np.zeros((slots + 1, n_layers, batch, hidden))
-    zr_slots = np.empty((slots, 2, n_layers, batch, hidden))
-    cand_slots, cand_h_slots = (np.empty((slots, n_layers, batch, hidden)) for _ in range(2))
+    states, zr_slots, cand_slots, cand_h_slots = out or _step_arrays(slots, n_layers, batch, hidden)
+    states[0] = 0.0  # the zero start; every other slot is written before it is read
     xi = np.empty((n_layers, batch, 3 * hidden))
     # each layer's input-side matrix and bias (update, reset, candidate; the
     # two biases of each sigmoid gate summed), the bias repeated once for
@@ -177,13 +219,14 @@ def _wavefront(x_seq: np.ndarray, layers: list[GruLayerParams], slots: int):
     return states, (zr_slots, cand_slots, cand_h_slots)
 
 
-def stack_forward(x_seq: np.ndarray, layers: list[GruLayerParams]):
-    """:func:`_wavefront` keeping every step for :func:`stack_backward`.  The
-    layers share one width; layer ``i``'s state after its step ``t`` is
-    ``states[t + i + 1, i]``."""
+def stack_forward(x_seq: np.ndarray, layers: list[GruLayerParams], out=None):
+    """:func:`_wavefront` keeping every step for :func:`stack_backward`, in
+    ``out`` (the first four arrays of :meth:`EncoderBuffers.take`) if
+    given.  The layers share one width; layer ``i``'s state after its step
+    ``t`` is ``states[t + i + 1, i]``."""
     if x_seq.ndim != 3 or x_seq.shape[2] != layers[0].input_width:
         raise ShapeError(f"layer expects [steps, batch, {layers[0].input_width}], got {x_seq.shape}")
-    return _wavefront(x_seq, layers, x_seq.shape[0] + len(layers) - 1)
+    return _wavefront(x_seq, layers, x_seq.shape[0] + len(layers) - 1, out)
 
 
 def stack_backward(x_seq: np.ndarray, states: np.ndarray, gates, g: np.ndarray,
@@ -262,22 +305,32 @@ def _lookback_sequence(features: np.ndarray, caller: str) -> np.ndarray:
     return arr.reshape(arr.shape[0], LOOKBACK_DAYS, FIELDS_PER_DAY).transpose(1, 0, 2)
 
 
-def encode_panel(features: np.ndarray, params: EncoderParams) -> Tensor:
+def encode_panel(features: np.ndarray, params: EncoderParams,
+                 buffers: EncoderBuffers | None = None) -> Tensor:
     """Encode a [n_stocks, 360] feature block into [n_stocks, hidden].
 
     The result is one tape node whose parents are the encoder's weights:
     features are data, not parameters.  Its backward pass runs
     :func:`stack_backward`, the top layer's gradient entering at the last
     step only.  Rows are independent, so the output is row-permutation
-    equivariant.
+    equivariant.  With ``buffers`` the saved arrays live in that set, and
+    the node's backward is valid only until the next forward into it.
     """
     x_seq = _lookback_sequence(features, "encode_panel")
-    states, gates = stack_forward(x_seq, params.layers)
+    steps, batch, _ = x_seq.shape
+    saved = g_seq = None
+    if buffers is not None:
+        *saved, g_seq = buffers.take(steps, len(params.layers), batch, params.hidden_width)
+        generation = buffers.generation
+    states, gates = stack_forward(x_seq, params.layers, saved)
 
     def grad_fn(g):
-        g_seq = np.zeros((x_seq.shape[0],) + g.shape)
-        g_seq[-1] = g
-        return stack_backward(x_seq, states, gates, g_seq, params.layers)
+        if buffers is not None and buffers.generation != generation:
+            raise ContractError("encoder backward after a later forward reused its buffers; "
+                                "a training graph is valid only until the next forward")
+        seq = np.zeros((steps,) + g.shape) if g_seq is None else g_seq
+        seq[-1] = g
+        return stack_backward(x_seq, states, gates, seq, params.layers)
 
     return ad._node(states[-1, -1].copy(), tuple(params.tensors()), grad_fn)
 

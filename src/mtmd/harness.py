@@ -20,7 +20,7 @@ from . import metrics as mx
 from .checkpoint import Checkpoint
 from .config import Config, ranged
 from .data import ConceptGraph, DateSlice, FeaturePanel, is_iso_date, load_panel, quote_cell
-from .encoder import encode_rows
+from .encoder import EncoderBuffers, encode_rows
 from .errors import DataError, NumericError, UsageError
 from .memory import MemoryBank
 # ``predict`` is no longer called here; it stays importable as ``harness.predict``
@@ -198,6 +198,33 @@ def _load_data(config: TrainConfig, panel: FeaturePanel | None,
     return load_panel(config.panel_path, config.concept_path)
 
 
+def _train_epoch(slices: list[DateSlice], graph: ConceptGraph, params: ModelParams,
+                 banks: dict[str, MemoryBank], config: ModelConfig,
+                 learning_rate: float) -> list[float]:
+    """One plain SGD step per date, in order; returns the losses.
+
+    Each date's graph is gone before the next date's forward, and every
+    forward writes the encoder's saved arrays into one buffer set, so the
+    pass holds one step's activations.  The set goes with the pass, before
+    validation encodes off the tape.
+    """
+    named = params.named()
+    buffers = EncoderBuffers()
+    losses = []
+    for s in slices:
+        mask = graph.mask_for(s.date, s.stock_ids)
+        trace = forward(s, mask, params, banks, config, mode="train", buffers=buffers)
+        loss = mse_loss(trace.predictions, s.labels)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise NumericError(f"non-finite training loss on date {s.date}")
+        losses.append(value)
+        for name, g in ad.backward(loss).items():
+            named[name].data -= learning_rate * g
+        del trace, loss  # the date's graph, before the next forward
+    return losses
+
+
 def train(config: TrainConfig, panel: FeaturePanel | None = None,
           graph: ConceptGraph | None = None,
           progress=None) -> tuple[Checkpoint, TrainLog]:
@@ -212,7 +239,6 @@ def train(config: TrainConfig, panel: FeaturePanel | None = None,
     model_cfg = replace(config.model, seed=config.seed)
     params = init_parameters(model_cfg)
     banks = init_banks(model_cfg)
-    named = params.named()
 
     log = TrainLog(date_order=[s.date for s in train_slices])
     best: dict[str, np.ndarray] | None = None
@@ -221,17 +247,7 @@ def train(config: TrainConfig, panel: FeaturePanel | None = None,
     started = time.monotonic()
 
     for epoch in range(config.epochs):
-        losses = []
-        for s in train_slices:
-            mask = graph.mask_for(s.date, s.stock_ids)
-            trace = forward(s, mask, params, banks, model_cfg, mode="train")
-            loss = mse_loss(trace.predictions, s.labels)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise NumericError(f"non-finite training loss on date {s.date}")
-            losses.append(value)
-            for name, g in ad.backward(loss).items():  # plain SGD
-                named[name].data -= config.learning_rate * g
+        losses = _train_epoch(train_slices, graph, params, banks, model_cfg, config.learning_rate)
         valid_ic = _mean_valid_ic(valid_slices, graph, params, banks, model_cfg)
         improved = valid_ic is not None and valid_ic > log.best_valid_ic
         if improved:

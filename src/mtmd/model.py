@@ -17,7 +17,7 @@ from . import concepts as cc
 from .autodiff import Tensor
 from .config import Config, ranged
 from .data import DateSlice
-from .encoder import EncoderParams, encode_panel, init_encoder
+from .encoder import EncoderBuffers, EncoderParams, encode_panel, init_encoder
 from .errors import ContractError, DataError, NumericError, ShapeError
 from .memory import MemoryBank, RetrievalState, global_aggregate, init_bank, memorize
 
@@ -110,14 +110,16 @@ class ForwardTrace:
 
 def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams,
             banks: dict[str, MemoryBank], config: ModelConfig,
-            mode: str = "train", encoded: np.ndarray | None = None) -> ForwardTrace:
+            mode: str = "train", encoded: np.ndarray | None = None,
+            buffers: EncoderBuffers | None = None) -> ForwardTrace:
     """One date's full pass; in train mode the enabled banks are written
     after predictions are formed (writes stay off the tape).
 
     ``encoded`` is the date's [n_stocks, width] encoder output, computed
     beforehand off the tape (:func:`mtmd.encoder.encode_rows`); the pass
     then sends no gradient to the encoder.  Without it the encoder runs on
-    the tape.
+    the tape, saving its arrays in ``buffers`` if given (see
+    :func:`mtmd.encoder.encode_panel`).
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -138,7 +140,7 @@ def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams
     writes_allowed = mode == "train" or config.eval_writes
 
     if encoded is None:
-        encoded = encode_panel(date_slice.features, params.encoder)
+        encoded = encode_panel(date_slice.features, params.encoder, buffers)
     else:
         if encoded.shape != (n_stocks, config.embed_width):
             raise ShapeError(f"precomputed encoding shape {encoded.shape} != "

@@ -193,7 +193,7 @@ def is_yyyy_mm_dd(text: str) -> bool:
     return True
 
 
-def load_concepts_reference(path: str, known_stocks: set[str]):
+def load_concepts_reference(path: str, known_stocks: set[str], panel_dates: set[str]):
     """Read a concept CSV one cell at a time with the checks of the package's
     loader, in its order.
 
@@ -219,6 +219,8 @@ def load_concepts_reference(path: str, known_stocks: set[str]):
             date = row[2] if len(row) == 3 else ""
             if date and not is_yyyy_mm_dd(date):
                 raise ValueError(f"{path}:{line}: date {date!r} is not ISO-8601 YYYY-MM-DD")
+            if date and date not in panel_dates:
+                raise ValueError(f"{path}:{line}: date {date!r} is not a panel date")
             concepts.add(row[0])
             if date:
                 dated.setdefault(date, set()).add((row[1], row[0]))
@@ -298,9 +300,6 @@ def load_panel_reference(path: str) -> list[dict]:
     out = []
     for k, date in enumerate(dates):
         rows = [by_date[date][s] for s in universe]
-        features = np.array([r[3] for r in rows])
-        if not np.all(np.isfinite(features)):
-            raise ValueError(f"{date}: non-finite feature values")
         raw = labels = None
         if k + 1 < len(dates):
             nxt = [by_date[dates[k + 1]][s][2] for s in universe]
@@ -308,8 +307,14 @@ def load_panel_reference(path: str) -> list[dict]:
             std = raw.std()
             labels = np.zeros_like(raw) if raw.size <= 1 or std < 1e-12 \
                 else (raw - raw.mean()) / std
+            if not np.all(np.isfinite(labels)):
+                raise ValueError(f"{path}: change rates from {date} to {dates[k + 1]} overflow")
         out.append({"date": date, "stock_ids": universe,
                     "market_caps": np.array([r[1] for r in rows]),
                     "prices": np.array([r[2] for r in rows]),
-                    "features": features, "raw_labels": raw, "labels": labels})
+                    "features": np.array([r[3] for r in rows]),
+                    "raw_labels": raw, "labels": labels})
+    for entry in out:  # checked once every date's labels are
+        if not np.all(np.isfinite(entry["features"])):
+            raise ValueError(f"{entry['date']}: non-finite feature values")
     return out

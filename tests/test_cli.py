@@ -1,12 +1,19 @@
+import contextlib
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtmd.checkpoint import load_checkpoint, save_checkpoint
 from mtmd.cli import main
 from mtmd.data import load_panel
 from mtmd.harness import fraction_boundaries
+
+from test_data import DATE_CORRUPTIONS, NUMBER_CORRUPTIONS, STOCK_ID_TEXT
 
 
 @pytest.fixture(scope="module")
@@ -380,3 +387,55 @@ class TestUsage:
 
     def test_bad_flag_is_usage_error(self):
         assert main(["eval", "--no-such-flag"]) == 1
+
+
+@pytest.fixture(scope="module")
+def fuzz_market(tmp_path_factory):
+    """A written 8-date, 3-stock market, its panel rows and a config for it."""
+    out = tmp_path_factory.mktemp("fuzz_market")
+    spec = out / "spec.json"
+    spec.write_text(json.dumps({"n_stocks": 3, "n_concepts": 2, "n_dates": 68, "seed": 5}),
+                    encoding="utf-8")
+    assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 0
+    panel, _ = load_panel(str(out / "panel.csv"), str(out / "concepts.csv"))
+    train_end, valid_end = fraction_boundaries(panel)
+    with open(out / "panel.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    cfg = {"panel_path": str(out / "fuzzed.csv"), "concept_path": str(out / "concepts.csv"),
+           "learning_rate": 0.05, "epochs": 1, "seed": 2, "train_end": train_end,
+           "valid_end": valid_end, "model": {"embed_width": 4, "memory_items": 2}}
+    (out / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    return out, rows
+
+
+class TestFuzzedPanelRuns:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_train_eval_export_exit_0_or_2(self, fuzz_market, data):
+        out, rows = fuzz_market
+        rows = [list(r) for r in rows]
+        line = data.draw(st.integers(1, len(rows) - 1), label="row")
+        kind = data.draw(st.sampled_from(["drop", "duplicate", "cell"]), label="kind")
+        if kind == "drop":
+            del rows[line]
+        elif kind == "duplicate":
+            rows.insert(line, list(rows[line]))
+        else:
+            column = data.draw(st.integers(0, len(rows[0]) - 1), label="column")
+            text = {0: DATE_CORRUPTIONS, 1: STOCK_ID_TEXT}.get(column, NUMBER_CORRUPTIONS)
+            rows[line][column] = data.draw(text, label="text")
+        with open(out / "fuzzed.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        ckpt = str(out / "fuzzed.bin")
+        runs = [["train", "--config", str(out / "cfg.json"), "--checkpoint", ckpt],
+                ["eval", "--checkpoint", ckpt, "--split", "test"],
+                ["export-embeddings", "--checkpoint", ckpt, "--split", "test",
+                 "--out", str(out / "fuzzed_export.csv")]]
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2), (argv[0], code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if code:  # nothing was trained to score
+                break

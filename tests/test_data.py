@@ -221,6 +221,28 @@ class TestLoadPanelValidation:
         with pytest.raises(ParseError, match=rf"c\.csv:3: date '{spelling}' is not"):
             md.load_panel(ppath, cpath)
 
+    def test_concept_link_on_no_panel_date_rejected(self, tmp_path):
+        # such a link is never used, yet its concept would count against
+        # concept_capacity
+        ppath = _write(tmp_path / "p.csv", tiny_panel_text([
+            "2020-01-01,A,1.0,100.0", "2020-01-02,A,1.0,101.0"]))
+        cpath = _write(tmp_path / "c.csv",
+                       "concept_id,stock_id,date\nC1,A,2020-01-01\nC2,A,2030-01-01\n")
+        with pytest.raises(ParseError, match=r"c\.csv:3: date '2030-01-01' is not a panel date"):
+            md.load_panel(ppath, cpath)
+
+    @pytest.mark.parametrize("price", ["5e-324", "1e-306"])
+    def test_overflowing_change_rates_rejected(self, tmp_path, price):
+        # positive prices so small that the next date's change rate (5e-324)
+        # or the z-scoring of the date's rates (1e-306) overflows
+        ppath = _write(tmp_path / "p.csv", tiny_panel_text([
+            f"2020-01-01,A,1.0,{price}", f"2020-01-01,B,1.0,{price}",
+            "2020-01-02,A,1.0,100.0", "2020-01-02,B,1.0,101.0"]))
+        cpath = _write(tmp_path / "c.csv", "concept_id,stock_id\nC1,A\n")
+        with pytest.raises(DataError, match=r"p\.csv: change rates from 2020-01-01 to "
+                                            r"2020-01-02 overflow"):
+            md.load_panel(ppath, cpath)
+
     def test_universe_mismatch_rejected(self, tmp_path):
         text = tiny_panel_text([
             "2020-01-01,A,1.0,100.0",
@@ -326,21 +348,22 @@ QUOTED_ID = 'Q,"1\n'  # a known stock id that the CSV writer must quote
 
 @pytest.fixture(scope="module")
 def concept_rows():
-    """The rows of a dated concept file, static and dated links, and its known stocks."""
+    """The rows of a dated concept file, static and dated links, its known
+    stocks and the dates of its panel."""
     panel, graph, _ = md.generate_synthetic(md.SyntheticSpec(n_stocks=3, n_concepts=2,
                                                              n_dates=63, seed=7))
     ids, dates = panel.slices[0].stock_ids, panel.dates
     rows = [["concept_id", "stock_id", "date"]]
     rows += [[concept, stock, ""] for stock, concept in sorted(graph.static_links)]
     rows += [["C9", ids[0], dates[0]], ["C8", QUOTED_ID, dates[-1]], ["C8", ids[1], dates[-1]]]
-    return rows, set(ids) | {QUOTED_ID}
+    return rows, set(ids) | {QUOTED_ID}, set(dates)
 
 
 class TestLoadConceptsFuzz:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_single_corrupt_cell_loads_like_reference(self, concept_rows, scratch, data):
-        rows, known = concept_rows
+        rows, known, dates = concept_rows
         rows = [list(r) for r in rows]
         line = data.draw(st.integers(1, len(rows) - 1), label="row")
         kind = data.draw(st.sampled_from(["date", "stock", "concept", "columns"]), label="kind")
@@ -356,13 +379,13 @@ class TestLoadConceptsFuzz:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
         try:
-            want = oracles.load_concepts_reference(str(path), known)
+            want = oracles.load_concepts_reference(str(path), known, dates)
         except ValueError as exc:
             with pytest.raises(DataError) as info:
-                md.load_concepts(str(path), known)
+                md.load_concepts(str(path), known, dates)
             assert str(info.value) == str(exc)
             return
-        graph = md.load_concepts(str(path), known)
+        graph = md.load_concepts(str(path), known, dates)
         assert (graph.concept_ids, graph.static_links, graph.dated_links) == want
 
 

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from mtmd import autodiff as ad
 from mtmd import encoder as enc
-from mtmd.errors import ShapeError
+from mtmd.errors import ContractError, ShapeError
 
 from oracles import finite_difference, gru_bptt, gru_step, max_rel_error, sigmoid_two_branch
 
@@ -318,6 +318,50 @@ class TestEncodePanel:
         assert sorted(grads) == sorted(expected)
         for name, value in expected.items():
             assert np.max(np.abs(grads[name] - value)) <= 1e-12, name
+
+
+def encode_with_gradients(feats, params, g, buffers=None):
+    """The encoder's output and the 24 gradients of ``sum(g * output)``."""
+    out = enc.encode_panel(feats, params, buffers)
+    return out.data, ad.backward(ad.reduce_sum(ad.multiply(out, ad.Tensor(g))))
+
+
+class TestEncoderBuffers:
+    @pytest.mark.parametrize("batch, hidden", [(20, 16), (100, 128), (7, 33), (1, 16)])
+    def test_bitwise_equal_to_unbuffered(self, batch, hidden):
+        rng = np.random.default_rng(batch * 1000 + hidden)
+        params = enc.init_encoder(rng, hidden=hidden)
+        buffers = enc.EncoderBuffers()
+        # the same set again on other features, after filling its saved
+        # arrays with nan, and once with another batch size, which needs
+        # arrays of another shape: no slot may be read before it is written
+        for rows in (batch, batch, batch + 3, batch):
+            feats = rng.normal(size=(rows, enc.FEATURE_WIDTH))
+            g = rng.normal(size=(rows, hidden))
+            want_out, want = encode_with_gradients(feats, params, g)
+            out, grads = encode_with_gradients(feats, params, g, buffers)
+            assert out.tobytes() == want_out.tobytes()
+            assert len(grads) == 24 and sorted(grads) == sorted(want)
+            for name, value in want.items():
+                assert grads[name].tobytes() == value.tobytes(), name
+            for saved in buffers.take(enc.LOOKBACK_DAYS, 2, rows, hidden)[:4]:
+                saved.fill(np.nan)
+
+    def test_backward_after_reuse_raises(self):
+        rng = np.random.default_rng(41)
+        params = enc.init_encoder(rng, hidden=5)
+        buffers = enc.EncoderBuffers()
+        stale = enc.encode_panel(rng.normal(size=(4, enc.FEATURE_WIDTH)), params, buffers)
+        current = enc.encode_panel(rng.normal(size=(4, enc.FEATURE_WIDTH)), params, buffers)
+        with pytest.raises(ContractError, match="reused its buffers"):
+            ad.backward(ad.reduce_sum(stale))
+        assert sorted(ad.backward(ad.reduce_sum(current))) == sorted(
+            t.name for t in params.tensors())
+        # a forward of another batch size replaces the arrays; the graph
+        # before it is retired all the same
+        enc.encode_panel(rng.normal(size=(3, enc.FEATURE_WIDTH)), params, buffers)
+        with pytest.raises(ContractError, match="reused its buffers"):
+            ad.backward(ad.reduce_sum(current))
 
 
 class TestEncodeRows:

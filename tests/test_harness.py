@@ -1,6 +1,7 @@
 import csv
 import json
 import struct
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -120,6 +121,27 @@ class TestTrain:
         assert log0.date_order == log1.date_order
         assert not np.array_equal(ck0.tensors["encoder.l0.update_x"],
                                   ck1.tensors["encoder.l0.update_x"])
+
+    def test_holds_one_steps_encoder_activations(self):
+        # the states and gates one training step's encoder saves for its
+        # backward; holding two steps' worth, as when a date's graph outlives
+        # the next date's forward, reads about 2.2x
+        stocks, width, steps, layers = 40, 32, 60, 2
+        slots = steps + layers - 1
+        saved_bytes = 8 * layers * stocks * width * ((slots + 1) + 2 * slots + 2 * slots)
+        panel, graph, _ = generate_synthetic(SyntheticSpec(n_stocks=stocks, n_concepts=4,
+                                                           n_dates=100, seed=2))
+        train_end, valid_end = fraction_boundaries(panel)
+        cfg = TrainConfig(model=ModelConfig(embed_width=width, memory_items=8),
+                          learning_rate=0.01, epochs=1, seed=3,
+                          train_end=train_end, valid_end=valid_end)
+        tracemalloc.start()
+        try:
+            train(cfg, panel=panel, graph=graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * saved_bytes, peak / saved_bytes
 
 
 class TestTrainingCurveSmoke:
