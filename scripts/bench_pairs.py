@@ -18,7 +18,10 @@ the seconds per round of each benchmark stage, parsed from the ``stage``
 lines, and the rounds of each run; whether the two sides printed the same
 checkpoint hashes; and the host's CPU model and core count, the numpy
 version and BLAS, and both revisions, each with a SHA-256 of its ``src``
-tree.
+tree.  After the pairs, ``acceptance`` records one timed run per side of
+the acceptance B/P/H/A x 5-seed matrix (``pytest -q tests/test_acceptance.py``
+in that side's tree): its wall seconds, exit status and pytest's summary
+line.
 
 ``previous`` compares the record with the newest ``BENCH_<n>.json`` beside
 ``--out`` whose ``n`` is lower than its own: for each workload and metric,
@@ -40,6 +43,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -109,6 +113,19 @@ def run_benchmark(tree: str, workload: str, seed: int, seconds: float) -> dict:
         "stage_s_per_round": {k: v["seconds"] / rounds for k, v in stages.items()},
         "hashes": {m.group(1): m.group(2) for m in map(HASH_LINE.match, lines) if m},
     }
+
+
+def run_acceptance(tree: str) -> dict:
+    """One timed run of ``tree``'s acceptance tests on ``tree``'s ``src``."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           "tests/test_acceptance.py"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=3600)
+    wall_s = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"command": " ".join(["python3", *cmd[1:]]), "wall_s": wall_s,
+            "exit_status": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
 def summarize(values: list[float]) -> dict:
@@ -209,6 +226,12 @@ def parse_workloads(specs: list[str]) -> list[tuple[str, list[int]]]:
     return out
 
 
+def write_record(record: dict, out: str) -> None:
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -253,9 +276,12 @@ def main(argv=None) -> int:
                 pairs.append(pair)
                 record["workloads"][name] = workload_record(pairs, end_to_end)
                 record["previous"] = versus_previous(record, previous)
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    json.dump(record, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                write_record(record, args.out)
+        record["acceptance"] = {}
+        for side in ("parent", "change"):
+            print(f"acceptance tests {side} ...", file=sys.stderr, flush=True)
+            record["acceptance"][side] = run_acceptance(trees[side])
+            write_record(record, args.out)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return 0

@@ -220,24 +220,15 @@ def clamp_min(a, floor: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalizations
 
-def softmax(a, axis: int) -> Tensor:
-    """Exp-normalize along ``axis`` with max-subtraction for stability."""
+def softmax(a, axis: int, mask: np.ndarray | None = None) -> Tensor:
+    """Exp-normalize along ``axis`` with max-subtraction for stability,
+    restricted to ``mask`` if given; all-False slices yield zeros.
+
+    No mask is an all-True one, which changes no bit: each exponential is
+    multiplied by 1.0 and each denominator is at least 1.
+    """
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return _node(out, (a,), grad_fn)
-
-
-def masked_softmax(a, mask: np.ndarray, axis: int) -> Tensor:
-    """Softmax restricted to ``mask``; all-False slices yield zeros."""
-    a = as_tensor(a)
-    mask = np.asarray(mask, dtype=bool)
+    mask = np.ones(a.data.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if mask.shape != a.data.shape:
         raise ShapeError(f"mask shape {mask.shape} != input shape {a.data.shape}")
     neg = np.where(mask, a.data, -np.inf)

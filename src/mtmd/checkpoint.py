@@ -99,26 +99,33 @@ def load_checkpoint(path: str) -> Checkpoint:
             n_elems *= d
         payload = take_bytes(n_elems * 8)
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
-    if version < FORMAT_VERSION:
-        _drop_retired_keys(path, version, meta["config"])
+    _drop_retired_keys(path, version, meta["config"])
     return Checkpoint(tensors=tensors, config=meta["config"], metrics=meta["metrics"])
 
 
 def _drop_retired_keys(path: str, version: int, config: dict) -> None:
-    """Remove the config keys of a version-1 or -2 file that later formats retired.
+    """Remove the config keys that later code retired.
 
     ``momentum`` and version 1's ``reset_banks_each_epoch`` only ever
     affected training, so they go whatever their value.  ``leaky_slope``
-    shapes every prediction, so it goes only at the one slope this code uses.
+    (formats 1 and 2) and ``eval_writes`` (every format) shape what a model
+    computes, so each goes only at the one value this code uses: the slope
+    ``LEAKY_SLOPE``, and ``false``, banks written only in training.
     """
     train = config["train"] if isinstance(config.get("train"), dict) else {}
-    train.pop("momentum", None)
+    if version < 3:
+        train.pop("momentum", None)
     if version == 1:
         train.pop("reset_banks_each_epoch", None)
     for section in (config.get("model"), train.get("model")):
         if not isinstance(section, dict):
             continue
-        slope = section.pop("leaky_slope", LEAKY_SLOPE)
-        if slope != LEAKY_SLOPE:
-            raise DataError(f"{path}: checkpoint has leaky_slope {slope!r}; "
-                            f"only {LEAKY_SLOPE} is supported since format 3")
+        if version < 3:
+            slope = section.pop("leaky_slope", LEAKY_SLOPE)
+            if slope != LEAKY_SLOPE:
+                raise DataError(f"{path}: checkpoint has leaky_slope {slope!r}; "
+                                f"only {LEAKY_SLOPE} is supported since format 3")
+        writes = section.pop("eval_writes", False)
+        if writes is not False:
+            raise DataError(f"{path}: checkpoint has eval_writes {json.dumps(writes)}; "
+                            "memory banks are written only in training")

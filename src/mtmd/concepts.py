@@ -117,7 +117,7 @@ def local_aggregate(stock_features: Tensor, concept_embeddings: Tensor,
         missing = int(np.flatnonzero(~mask.any(axis=1))[0])
         raise ContractError(f"stock index {missing} has an empty concept link set")
     scores = ad.cosine_matrix(stock_features, concept_embeddings)
-    importance = ad.masked_softmax(scores, mask, axis=1)
+    importance = ad.softmax(scores, axis=1, mask=mask)
     pooled = ad.matmul(importance, concept_embeddings)
     return ad.leaky_relu(affine(pooled, fc)), importance
 

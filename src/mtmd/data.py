@@ -53,13 +53,6 @@ def is_iso_date(text: str) -> bool:
         return False
 
 
-def change_rate(price_t: float, price_next: float) -> float:
-    """Relative price move from one date to the next."""
-    if price_t <= 0.0:
-        raise DataError(f"change_rate requires a positive base price, got {price_t}")
-    return (price_next - price_t) / price_t
-
-
 def normalize_labels_per_date(raw: np.ndarray) -> np.ndarray:
     """Z-score a cross-section (population std); degenerate dates map to zeros."""
     raw = np.asarray(raw, dtype=np.float64)
@@ -393,28 +386,33 @@ def load_panel(panel_path: str, concept_path: str) -> tuple[FeaturePanel, Concep
             raise ParseError(panel_path, min(line for line, *_ in by_date[date].values()),
                              f"stock universe on {date} differs from {dates[0]}")
 
+    # every date's change rates to the next date at once, [dates - 1, stocks];
+    # a tiny positive price can make a rate, or the z-scoring of a date's
+    # rates, overflow
+    prices = np.array([[by_date[date][s][2] for s in universe] for date in dates])
+    with np.errstate(over="ignore"):  # an infinite rate is refused below
+        rates = np.diff(prices, axis=0) / prices[:-1]
     slices = []
     for idx, date in enumerate(dates):
         rows = by_date[date]
-        caps = np.array([rows[s][1] for s in universe])
-        prices = np.array([rows[s][2] for s in universe])
-        feats = np.stack([rows[s][3] for s in universe])
         raw = labels = None
         if idx + 1 < len(dates):
-            nxt = by_date[dates[idx + 1]]
-            raw = np.array([change_rate(rows[s][2], nxt[s][2]) for s in universe])
-            labels = normalize_labels_per_date(raw)
-            # a tiny positive price can make a rate, or the rates' z-scoring,
-            # overflow into a non-finite label
-            if not np.all(np.isfinite(labels)):
+            raw = rates[idx]
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    labels = normalize_labels_per_date(raw)
+                overflow = not np.all(np.isfinite(raw))
+            except FloatingPointError:
+                overflow = True
+            if overflow:
                 raise DataError(f"{panel_path}: change rates from {date} to {dates[idx + 1]} "
                                 "overflow")
         slices.append(DateSlice(
             date=date,
             stock_ids=list(universe),
-            features=feats,
-            market_caps=caps,
-            prices=prices,
+            features=np.stack([rows[s][3] for s in universe]),
+            market_caps=np.array([rows[s][1] for s in universe]),
+            prices=prices[idx],
             raw_labels=raw,
             labels=labels,
         ))

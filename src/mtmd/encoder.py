@@ -113,12 +113,11 @@ class EncoderBuffers:
     """The arrays one training step's encoder keeps for its backward, reused
     by the next step.
 
-    :func:`encode_panel` given a set writes its states and gates into it,
-    and in its backward the gradient of the top layer's states, instead of
-    allocating them, so a run of steps holds one step's saved arrays.  A
-    forward of another shape replaces the arrays.  Each forward into the set
-    starts a new generation, and a graph of an older generation refuses its
-    backward: its saved arrays now hold a later step.
+    :func:`encode_panel` given a set writes its states and gates into it
+    instead of allocating them, so a run of steps holds one step's saved
+    arrays.  A forward of another shape replaces the arrays.  Each forward
+    into the set starts a new generation, and a graph of an older
+    generation refuses its backward: its saved arrays now hold a later step.
     """
 
     def __init__(self):
@@ -128,13 +127,10 @@ class EncoderBuffers:
 
     def take(self, steps: int, n_layers: int, batch: int, hidden: int):
         """The states, the z|r, candidate and recurrent-candidate slots of
-        :func:`stack_forward`, and the [steps, batch, H] gradient sequence
-        (zero but at its last step, the only one written), as a new
-        generation."""
+        :func:`stack_forward`, as a new generation."""
         shape = (steps, n_layers, batch, hidden)
         if shape != self._shape:
-            self._arrays = (*_step_arrays(steps + n_layers - 1, n_layers, batch, hidden),
-                            np.zeros((steps, batch, hidden)))
+            self._arrays = _step_arrays(steps + n_layers - 1, n_layers, batch, hidden)
             self._shape = shape
         self.generation += 1
         return self._arrays
@@ -221,9 +217,9 @@ def _wavefront(x_seq: np.ndarray, layers: list[GruLayerParams], slots: int, out=
 
 def stack_forward(x_seq: np.ndarray, layers: list[GruLayerParams], out=None):
     """:func:`_wavefront` keeping every step for :func:`stack_backward`, in
-    ``out`` (the first four arrays of :meth:`EncoderBuffers.take`) if
-    given.  The layers share one width; layer ``i``'s state after its step
-    ``t`` is ``states[t + i + 1, i]``."""
+    ``out`` (the arrays of :meth:`EncoderBuffers.take`) if given.  The
+    layers share one width; layer ``i``'s state after its step ``t`` is
+    ``states[t + i + 1, i]``."""
     if x_seq.ndim != 3 or x_seq.shape[2] != layers[0].input_width:
         raise ShapeError(f"layer expects [steps, batch, {layers[0].input_width}], got {x_seq.shape}")
     return _wavefront(x_seq, layers, x_seq.shape[0] + len(layers) - 1, out)
@@ -231,11 +227,11 @@ def stack_forward(x_seq: np.ndarray, layers: list[GruLayerParams], out=None):
 
 def stack_backward(x_seq: np.ndarray, states: np.ndarray, gates, g: np.ndarray,
                    layers: list[GruLayerParams]) -> list[np.ndarray]:
-    """Backpropagate ``g``, the gradient of the top layer's states
-    [steps, batch, H], through a stack run by :func:`stack_forward`: the
-    wavefront in reverse, each layer passing the gradient of its input to
-    the layer below for the next iteration.  Returns each layer's 12
-    gradients in :meth:`GruLayerParams.tensors` order.
+    """Backpropagate ``g``, the gradient of the top layer's last state
+    [batch, H], through a stack run by :func:`stack_forward`: the wavefront
+    in reverse, each layer passing the gradient of its input to the layer
+    below for the next iteration.  Returns each layer's 12 gradients in
+    :meth:`GruLayerParams.tensors` order.
     """
     steps, batch, _ = x_seq.shape
     n_layers, hidden = len(layers), layers[0].hidden_width
@@ -259,14 +255,15 @@ def stack_backward(x_seq: np.ndarray, states: np.ndarray, gates, g: np.ndarray,
     g_b = np.zeros((n_layers, 4 * hidden))
     buf_w = [buf[i, :, :3 * hidden].T for i in range(n_layers)]
     buf_u = buf[:, :, hidden:].transpose(0, 2, 1)
-    # the gradient entering each layer's state at its current step: the
-    # top layer's from g, a lower layer's from the layer above
+    # the gradient entering each layer's state at its current step from
+    # the layer above (none for the top layer), and through its recurrence,
+    # where g enters the top layer's last step
     g_in = np.zeros((n_layers, batch, hidden))
     carry = np.zeros((n_layers, batch, hidden))
+    carry[-1] = g
     for k in range(steps + n_layers - 2, -1, -1):
         # a lower layer past its last step gets zero gradients, and so does
         # a layer before it starts: both add exact zeros
-        g_in[-1] = g[k - n_layers + 1] if k >= n_layers - 1 else 0.0
         if k + 1 < n_layers:
             carry[k + 1:] = 0.0
         gh = g_in + carry
@@ -311,16 +308,16 @@ def encode_panel(features: np.ndarray, params: EncoderParams,
 
     The result is one tape node whose parents are the encoder's weights:
     features are data, not parameters.  Its backward pass runs
-    :func:`stack_backward`, the top layer's gradient entering at the last
-    step only.  Rows are independent, so the output is row-permutation
-    equivariant.  With ``buffers`` the saved arrays live in that set, and
-    the node's backward is valid only until the next forward into it.
+    :func:`stack_backward`.  Rows are independent, so the output is
+    row-permutation equivariant.  With ``buffers`` the saved arrays live in
+    that set, and the node's backward is valid only until the next forward
+    into it.
     """
     x_seq = _lookback_sequence(features, "encode_panel")
     steps, batch, _ = x_seq.shape
-    saved = g_seq = None
+    saved = None
     if buffers is not None:
-        *saved, g_seq = buffers.take(steps, len(params.layers), batch, params.hidden_width)
+        saved = buffers.take(steps, len(params.layers), batch, params.hidden_width)
         generation = buffers.generation
     states, gates = stack_forward(x_seq, params.layers, saved)
 
@@ -328,9 +325,7 @@ def encode_panel(features: np.ndarray, params: EncoderParams,
         if buffers is not None and buffers.generation != generation:
             raise ContractError("encoder backward after a later forward reused its buffers; "
                                 "a training graph is valid only until the next forward")
-        seq = np.zeros((steps,) + g.shape) if g_seq is None else g_seq
-        seq[-1] = g
-        return stack_backward(x_seq, states, gates, seq, params.layers)
+        return stack_backward(x_seq, states, gates, g, params.layers)
 
     return ad._node(states[-1, -1].copy(), tuple(params.tensors()), grad_fn)
 

@@ -106,9 +106,8 @@ def eval_traces(slices: list[DateSlice], graph: ConceptGraph, params: ModelParam
 
     The encoder runs off the tape over the rows of all dates together, in
     blocks of ``ENCODE_BLOCK_ROWS``; each date's remaining stages then run
-    on its slice of the result.  Banks are read, and with ``eval_writes``
-    written, one date at a time in chronological order, as in a per-date
-    loop; the encoder reads no bank.
+    on its slice of the result.  Banks are only read, and the encoder
+    reads none, so every date's trace is that of a per-date loop.
     """
     offsets = np.cumsum([0] + [s.n_stocks for s in slices])
     # each block gathers its rows from the slices it overlaps, so the

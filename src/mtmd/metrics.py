@@ -21,9 +21,10 @@ PRECISION_LEVELS = (3, 5, 10, 30)
 _VAR_EPS = 1e-12
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float | None:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+def ic(pred: np.ndarray, truth: np.ndarray) -> float | None:
+    """Pearson correlation; None marks a degenerate (skipped) date."""
+    a = np.asarray(pred, dtype=np.float64)
+    b = np.asarray(truth, dtype=np.float64)
     if a.size < 2:
         return None
     am = a - a.mean()
@@ -33,11 +34,6 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float | None:
     if va < _VAR_EPS or vb < _VAR_EPS:
         return None
     return float((am * bm).mean() / math.sqrt(va * vb))
-
-
-def ic(pred: np.ndarray, truth: np.ndarray) -> float | None:
-    """Pearson correlation; None marks a degenerate (skipped) date."""
-    return _pearson(pred, truth)
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
@@ -59,7 +55,7 @@ def rank_ic(pred: np.ndarray, truth: np.ndarray) -> float | None:
     """Spearman correlation with average ranks for ties."""
     if np.asarray(pred).size < 2:
         return None
-    return _pearson(average_ranks(pred), average_ranks(truth))
+    return ic(average_ranks(pred), average_ranks(truth))
 
 
 def precision_at_n(pred: np.ndarray, positive: np.ndarray, n: int) -> float:

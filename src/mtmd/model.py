@@ -36,7 +36,6 @@ class ModelConfig(Config):
     concept_capacity: int | None = ranged(None, ">= 1")
     memory_predefined: bool = True
     memory_hidden: bool = True
-    eval_writes: bool = False
     seed: int = ranged(0, ">= 0")
 
     def with_ablation(self, code: str) -> "ModelConfig":
@@ -113,7 +112,8 @@ def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams
             mode: str = "train", encoded: np.ndarray | None = None,
             buffers: EncoderBuffers | None = None) -> ForwardTrace:
     """One date's full pass; in train mode the enabled banks are written
-    after predictions are formed (writes stay off the tape).
+    after predictions are formed (writes stay off the tape), in eval mode
+    they are only read.
 
     ``encoded`` is the date's [n_stocks, width] encoder output, computed
     beforehand off the tape (:func:`mtmd.encoder.encode_rows`); the pass
@@ -137,7 +137,6 @@ def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams
             f"date {date_slice.date} has {n_concepts} concepts, config expects "
             f"{config.concept_capacity}"
         )
-    writes_allowed = mode == "train" or config.eval_writes
 
     if encoded is None:
         encoded = encode_panel(date_slice.features, params.encoder, buffers)
@@ -183,7 +182,7 @@ def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams
     combined = ad.add(ad.add(forecasts[0], forecasts[1]), forecasts[2])
     predictions = ad.reshape(cc.affine(combined, params.output), (n_stocks,))
 
-    if writes_allowed:
+    if mode == "train":
         if retrieval_pre is not None:
             memorize(local_pre, retrieval_pre.match_probs, banks["predefined"])
         if retrieval_hid is not None:

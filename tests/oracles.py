@@ -304,10 +304,11 @@ def load_panel_reference(path: str) -> list[dict]:
         if k + 1 < len(dates):
             nxt = [by_date[dates[k + 1]][s][2] for s in universe]
             raw = np.array([(p1 - r[2]) / r[2] for r, p1 in zip(rows, nxt)])
-            std = raw.std()
-            labels = np.zeros_like(raw) if raw.size <= 1 or std < 1e-12 \
-                else (raw - raw.mean()) / std
-            if not np.all(np.isfinite(labels)):
+            with np.errstate(all="ignore"):  # an overflow leaves a rate or std infinite
+                std = raw.std()
+                labels = np.zeros_like(raw) if raw.size <= 1 or std < 1e-12 \
+                    else (raw - raw.mean()) / std
+            if not (np.all(np.isfinite(raw)) and np.isfinite(std)):
                 raise ValueError(f"{path}: change rates from {date} to {dates[k + 1]} overflow")
         out.append({"date": date, "stock_ids": universe,
                     "market_caps": np.array([r[1] for r in rows]),

@@ -102,16 +102,16 @@ class TestMaskedSoftmax:
     def test_respects_mask(self):
         x = ad.Tensor([[1.0, 100.0, 2.0]])
         mask = np.array([[True, False, True]])
-        s = ad.masked_softmax(x, mask, axis=1).data
+        s = ad.softmax(x, axis=1, mask=mask).data
         assert s[0, 1] == 0.0
         assert s.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_singleton_mask(self):
-        s = ad.masked_softmax(ad.Tensor([[3.0, -1.0]]), np.array([[False, True]]), axis=1).data
+        s = ad.softmax(ad.Tensor([[3.0, -1.0]]), axis=1, mask=np.array([[False, True]])).data
         assert np.array_equal(s, [[0.0, 1.0]])
 
     def test_empty_slice_yields_zeros(self):
-        s = ad.masked_softmax(ad.Tensor([[1.0, 2.0]]), np.array([[False, False]]), axis=1).data
+        s = ad.softmax(ad.Tensor([[1.0, 2.0]]), axis=1, mask=np.array([[False, False]])).data
         assert np.array_equal(s, [[0.0, 0.0]])
 
 
@@ -202,7 +202,7 @@ OP_BUILDERS = {
     ),
     "masked_softmax": lambda rng: (
         {"x": rng.normal(size=(3, 4))},
-        lambda t: ad.masked_softmax(t["x"], np.array([[1, 0, 1, 1], [1, 1, 0, 1], [0, 1, 1, 0]], dtype=bool), axis=1),
+        lambda t: ad.softmax(t["x"], axis=1, mask=np.array([[1, 0, 1, 1], [1, 1, 0, 1], [0, 1, 1, 0]], dtype=bool)),
     ),
     "leaky_relu": lambda rng: (
         {"x": _away_from_kinks(rng.normal(size=(4, 4)))},

@@ -291,6 +291,20 @@ class TestFileBoundary:
         err = capsys.readouterr().err
         assert "data error" in err and f"{bad} is not a well-formed UTF-8 CSV file" in err
 
+    def test_overflowing_label_variance_is_data_error(self, data_dir, config_path, tmp_path,
+                                                      capsys):
+        # the first row's tiny price gives a finite change rate of about
+        # 1e308 whose date's variance overflows
+        with open(data_dir / "panel.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][3] = "1e-306"
+        bad = tmp_path / "panel.csv"
+        with open(bad, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        assert _train_with(config_path, tmp_path, panel_path=str(bad)) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and f"change rates from {rows[1][0]} to " in err
+
     def test_unterminated_quote_is_data_error(self, data_dir, config_path, tmp_path, capsys):
         # the quoted field runs to the end of the file, past csv's field size limit
         header, rest = (data_dir / "panel.csv").read_text(encoding="utf-8").split("\n", 1)

@@ -1,29 +1,41 @@
 import csv
+import statistics
 
 import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mtmd import data as md
 from mtmd.errors import DataError, ParseError
 
 
 class TestChangeRate:
-    def test_ten_percent_gain(self):
-        assert md.change_rate(100.0, 110.0) == pytest.approx(0.1)
+    """The change rates ``load_panel`` derives from consecutive prices."""
 
-    def test_flat(self):
-        assert md.change_rate(50.0, 50.0) == 0.0
+    @staticmethod
+    def rate(tmp_path, price, next_price):
+        ppath = _write(tmp_path / "p.csv", tiny_panel_text([
+            f"2020-01-01,A,1.0,{price!r}", f"2020-01-02,A,1.0,{next_price!r}"]))
+        cpath = _write(tmp_path / "c.csv", "concept_id,stock_id\nC1,A\n")
+        panel, _ = md.load_panel(ppath, cpath)
+        return panel.slices[0].raw_labels[0]
 
-    def test_quarter_loss(self):
-        assert md.change_rate(200.0, 150.0) == pytest.approx(-0.25)
+    def test_ten_percent_gain(self, tmp_path):
+        assert self.rate(tmp_path, 100.0, 110.0) == pytest.approx(0.1)
+
+    def test_flat(self, tmp_path):
+        assert self.rate(tmp_path, 50.0, 50.0) == 0.0
+
+    def test_quarter_loss(self, tmp_path):
+        assert self.rate(tmp_path, 200.0, 150.0) == pytest.approx(-0.25)
 
     @pytest.mark.parametrize("bad", [0.0, -5.0])
-    def test_non_positive_base_rejected(self, bad):
+    def test_non_positive_base_rejected(self, tmp_path, bad):
         with pytest.raises(DataError, match="positive"):
-            md.change_rate(bad, 100.0)
+            self.rate(tmp_path, bad, 100.0)
 
 
 class TestNormalizeLabels:
@@ -231,12 +243,15 @@ class TestLoadPanelValidation:
         with pytest.raises(ParseError, match=r"c\.csv:3: date '2030-01-01' is not a panel date"):
             md.load_panel(ppath, cpath)
 
-    @pytest.mark.parametrize("price", ["5e-324", "1e-306"])
-    def test_overflowing_change_rates_rejected(self, tmp_path, price):
+    @pytest.mark.parametrize("price, price_b", [("5e-324", "5e-324"), ("1e-306", "1e-306"),
+                                                ("1e-306", "100.0")],
+                             ids=["5e-324", "1e-306", "finite-mean"])
+    def test_overflowing_change_rates_rejected(self, tmp_path, price, price_b):
         # positive prices so small that the next date's change rate (5e-324)
-        # or the z-scoring of the date's rates (1e-306) overflows
+        # or the z-scoring of the date's rates (1e-306) overflows; with B's
+        # price ordinary, the rates' mean is finite but their variance is not
         ppath = _write(tmp_path / "p.csv", tiny_panel_text([
-            f"2020-01-01,A,1.0,{price}", f"2020-01-01,B,1.0,{price}",
+            f"2020-01-01,A,1.0,{price}", f"2020-01-01,B,1.0,{price_b}",
             "2020-01-02,A,1.0,100.0", "2020-01-02,B,1.0,101.0"]))
         cpath = _write(tmp_path / "c.csv", "concept_id,stock_id\nC1,A\n")
         with pytest.raises(DataError, match=r"p\.csv: change rates from 2020-01-01 to "
@@ -318,6 +333,33 @@ DATE_CORRUPTIONS = st.one_of(
                      "2018-03-02", "2018-03-03", "2030-01-01"]),
     st.text(max_size=12),
 )
+
+
+# prices small enough that a change rate, or the z-scoring of a date's
+# rates, overflows, mixed with ordinary ones
+TINY_OR_ORDINARY_PRICES = st.one_of(st.floats(1e-310, 1e-300), st.floats(0.01, 1e4))
+
+
+class TestLabelOverflowProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(prices=hnp.arrays(np.float64, st.tuples(st.integers(2, 4), st.integers(2, 4)),
+                             elements=TINY_OR_ORDINARY_PRICES))
+    def test_finite_labels_or_data_error(self, scratch, prices):
+        dates = [f"2020-01-0{d + 1}" for d in range(prices.shape[0])]
+        ppath = _write(scratch / "tiny_prices.csv", tiny_panel_text([
+            f"{date},S{k},1.0,{price!r}" for date, row in zip(dates, prices.tolist())
+            for k, price in enumerate(row)]))
+        cpath = _write(scratch / "tiny_concepts.csv", "concept_id,stock_id\nC1,S0\n")
+        try:
+            panel, _ = md.load_panel(ppath, cpath)
+        except DataError as exc:
+            assert "overflow" in str(exc)
+            return
+        for s in panel.usable_slices:
+            assert np.all(np.isfinite(s.raw_labels)) and np.all(np.isfinite(s.labels))
+            if not s.labels.any():  # only a date whose rates barely differ scores all zero
+                scale = max(1.0, float(np.max(np.abs(s.raw_labels))))
+                assert statistics.pstdev(s.raw_labels.tolist()) < 1e-9 * scale
 
 
 class TestLoadPanelFuzz:

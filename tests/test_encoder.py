@@ -71,7 +71,7 @@ class TestGruCell:
 
 def stack_gradients(x: np.ndarray, layers: list[enc.GruLayerParams],
                     g: np.ndarray) -> list[dict[str, np.ndarray]]:
-    """Per layer, the gradients of ``sum(g * top layer's states)`` over a
+    """Per layer, the gradients of ``sum(g * top layer's last state)`` over a
     stack run from zero states, keyed like :func:`oracles.gru_bptt`."""
     states, gates = enc.stack_forward(x, layers)
     grads = enc.stack_backward(x, states, gates, g, layers)
@@ -79,16 +79,25 @@ def stack_gradients(x: np.ndarray, layers: list[enc.GruLayerParams],
     return [dict(zip(names, grads[12 * i:12 * i + 12])) for i in range(len(layers))]
 
 
+def last_step_only(g: np.ndarray, steps: int) -> np.ndarray:
+    """A [steps, batch, H] state-gradient sequence, zero but at its last
+    step, which holds ``g``."""
+    seq = np.zeros((steps,) + g.shape)
+    seq[-1] = g
+    return seq
+
+
 def composed_oracle(x: np.ndarray, bottom: dict, top: dict, g: np.ndarray) -> list[dict]:
     """The oracle for a two-layer stack: the bottom layer's states from
-    ``gru_step``, then BPTT of the top layer fed ``g``, then of the bottom
-    layer fed the top layer's input gradient."""
+    ``gru_step``, then BPTT of the top layer fed ``g`` at its last step,
+    then of the bottom layer fed the top layer's input gradient, which is
+    nonzero at every step."""
     h, bottom_states = np.zeros((x.shape[1], bottom["update_h"].shape[0])), []
     for x_t in x:
         h = gru_step(x_t, h, bottom)
         bottom_states.append(h)
     h0 = np.zeros_like(h)
-    want_top = gru_bptt(np.array(bottom_states), h0, top, g)
+    want_top = gru_bptt(np.array(bottom_states), h0, top, last_step_only(g, len(x)))
     want_bottom = gru_bptt(x, h0, bottom, want_top["x"])
     return [{name: want[name] for name in bottom} for want in (want_bottom, want_top)]
 
@@ -149,10 +158,11 @@ class TestGruSequence:
                                             for f in fields(enc.GruLayerParams)})
                       for li in range(n_layers)]
             states, _ = enc.stack_forward(x, layers)
-            return layer_states(states, n_layers - 1, 5), layers
+            return layer_states(states, n_layers - 1, 5)[-1], layers
 
         # one layer, and two, where the bottom layer's gradients pass
-        # through the top layer's input gradient; d sum(out^2) / d out = 2 out
+        # through the top layer's input gradient; d sum(out^2) / d out = 2 out,
+        # out the top layer's last state
         for n_layers in (1, 2):
             vals = {k: v for k, v in values.items() if int(k[1]) < n_layers}
             out, layers = top_states(vals, n_layers)
@@ -168,8 +178,9 @@ class TestGruSequence:
         rng = np.random.default_rng(steps * 1000 + hidden)
         layer = enc.init_gru_layer(rng, hidden, d_in, "l")
         x = rng.normal(size=(steps, batch, d_in))
-        g = rng.normal(size=(steps, batch, hidden))
-        expected = gru_bptt(x, np.zeros((batch, hidden)), layer_arrays(layer), g)
+        g = rng.normal(size=(batch, hidden))
+        expected = gru_bptt(x, np.zeros((batch, hidden)), layer_arrays(layer),
+                            last_step_only(g, steps))
         del expected["x"], expected["h0"]
         assert_gradients_close(stack_gradients(x, [layer], g), [expected], 1e-12)
 
@@ -179,7 +190,7 @@ class TestGruSequence:
         layers = [enc.init_gru_layer(rng, hidden, d_in, "l0"),
                   enc.init_gru_layer(rng, hidden, hidden, "l1")]
         x = rng.normal(size=(steps, batch, d_in))
-        g = rng.normal(size=(steps, batch, hidden))
+        g = rng.normal(size=(batch, hidden))
         want = composed_oracle(x, *(layer_arrays(layer) for layer in layers), g)
         assert_gradients_close(stack_gradients(x, layers, g), want, 1e-12)
 
@@ -191,7 +202,7 @@ class TestGruSequence:
         layers = [enc.init_gru_layer(rng, hidden, d_in, "l0"),
                   enc.init_gru_layer(rng, hidden, hidden, "l1")]
         x = rng.normal(size=(steps, batch, d_in))
-        g = rng.normal(size=(steps, batch, hidden))
+        g = rng.normal(size=(batch, hidden))
         want = composed_oracle(x, *(layer_arrays(layer) for layer in layers), g)
         assert_gradients_close(stack_gradients(x, layers, g), want, 1e-12)
 
@@ -310,9 +321,7 @@ class TestEncodePanel:
         grads = ad.backward(ad.reduce_sum(ad.multiply(out, ad.Tensor(g))))
 
         x = feats.reshape(batch, enc.LOOKBACK_DAYS, enc.FIELDS_PER_DAY).transpose(1, 0, 2)
-        g_top = np.zeros((enc.LOOKBACK_DAYS, batch, hidden))
-        g_top[-1] = g
-        want = composed_oracle(x, *(layer_arrays(layer) for layer in params.layers), g_top)
+        want = composed_oracle(x, *(layer_arrays(layer) for layer in params.layers), g)
         expected = {f"encoder.l{i}.{name}": value
                     for i, layer_want in enumerate(want) for name, value in layer_want.items()}
         assert sorted(grads) == sorted(expected)
@@ -344,7 +353,7 @@ class TestEncoderBuffers:
             assert len(grads) == 24 and sorted(grads) == sorted(want)
             for name, value in want.items():
                 assert grads[name].tobytes() == value.tobytes(), name
-            for saved in buffers.take(enc.LOOKBACK_DAYS, 2, rows, hidden)[:4]:
+            for saved in buffers.take(enc.LOOKBACK_DAYS, 2, rows, hidden):
                 saved.fill(np.nan)
 
     def test_backward_after_reuse_raises(self):

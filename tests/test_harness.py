@@ -494,6 +494,56 @@ class TestCheckpointVersion2:
             evaluate(load_checkpoint(str(path)), "test", panel=panel, graph=graph)
 
 
+class TestRetiredEvalWrites:
+    """``ModelConfig.eval_writes`` is retired: banks are written only in
+    training.  A file of any format that sets it ``false`` loads without it
+    and scores the same bytes; one that sets it ``true`` is refused."""
+
+    @staticmethod
+    def file_with(version, tmp_path, edit):
+        """A checkpoint of format ``version`` made from the fixtures, its
+        ``model`` and ``train.model`` config sections given ``eval_writes:
+        false`` (as every format wrote them), then ``edit`` applied."""
+        if version == 3:
+            source = tmp_path / "v3_source.ckpt"
+            save_checkpoint(load_checkpoint(str(TestCheckpointVersion2.FILE)), str(source))
+        else:
+            source = FIXTURES / f"v{version}_width2.ckpt"
+
+        def edit_all(config):
+            for section in (config["model"], config["train"]["model"]):
+                section["eval_writes"] = False
+            edit(config)
+
+        path = with_config(source, tmp_path / f"v{version}.ckpt", edit_all)
+        assert path.read_bytes()[4:8] == struct.pack("<I", version)
+        return path
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_false_is_dropped(self, market, tmp_path, version):
+        panel, graph = market
+        ckpt = load_checkpoint(str(self.file_with(version, tmp_path, lambda config: None)))
+        assert "eval_writes" not in ckpt.config["model"]
+        assert "eval_writes" not in ckpt.config["train"]["model"]
+        report = tmp_path / "eval.csv"
+        evaluate(ckpt, "test", panel=panel, graph=graph).to_csv(str(report))
+        assert report.read_bytes() == (FIXTURES / "v1_width2_eval_test.csv").read_bytes()
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("section", ["model", "train.model"])
+    def test_true_is_data_error(self, tmp_path, capsys, version, section):
+        def edit(config):
+            model = config["model"] if section == "model" else config["train"]["model"]
+            model["eval_writes"] = True
+
+        path = self.file_with(version, tmp_path, edit)
+        with pytest.raises(DataError, match="eval_writes true"):
+            load_checkpoint(str(path))
+        assert main(["eval", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "eval_writes true" in err
+
+
 def test_date_without_concept_links_is_data_error(market, small_config):
     panel, graph = market
     dropped = panel.usable_dates[1]
@@ -617,17 +667,3 @@ class TestBatchedEvaluation:
                 assert np.max(np.abs(values - reference[date][stage][i])) <= 1e-12
                 seen += 1
         assert seen == rows == len(test) * 30 * 4
-
-    def test_eval_writes_match_per_date_path(self, wide_market):
-        _, graph, ckpt, test = wide_market
-        params, banks, cfg = state_from_checkpoint(ckpt)
-        cfg = replace(cfg, eval_writes=True)
-        banks_ref = {k: replace(b, items=b.items.copy()) for k, b in banks.items()}
-        start = {k: b.items.copy() for k, b in banks.items()}
-        batched = [t.predictions.data for _, t in eval_traces(test, graph, params, banks, cfg)]
-        reference = per_date_traces(test, graph, params, banks_ref, cfg)
-        for got, ref in zip(batched, reference):
-            assert np.max(np.abs(got - ref.predictions.data)) <= 1e-12
-        for k in banks:
-            assert not np.array_equal(banks[k].items, start[k])
-            assert np.max(np.abs(banks[k].items - banks_ref[k].items)) <= 1e-12

@@ -163,15 +163,6 @@ class TestForward:
         after = mm.predict(s, mask, params, banks, SMALL)
         assert not np.array_equal(before, after)
 
-    def test_eval_writes_flag_allows_bank_updates(self):
-        from dataclasses import replace
-        config = replace(SMALL, eval_writes=True)
-        rng, params, banks = build(config)
-        s, mask = tiny_slice(rng), tiny_mask(rng)
-        before = banks["predefined"].items.copy()
-        mm.forward(s, mask, params, banks, config, mode="eval")
-        assert not np.array_equal(banks["predefined"].items, before)
-
     def test_memory_configs_differ_generically(self):
         rng = np.random.default_rng(8)
         s, mask = tiny_slice(rng), tiny_mask(rng)
