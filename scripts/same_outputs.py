@@ -17,7 +17,9 @@ every output file of the two sides is compared:
   inputs byte for byte.
 
 Prints one line per file and exits 1 if a tensor section or another file
-differs, or if the two sides wrote different file names.
+differs, or if the two sides wrote different file names.  Last it prints
+the line counts of the Python files under ``src/`` on both sides and their
+difference, the net ``src/`` delta of the change.
 """
 
 from __future__ import annotations
@@ -53,6 +55,17 @@ def checkpoint_parts(path: str) -> tuple[int, dict, bytes]:
         blob = fh.read()
     version, meta_len = struct.unpack("<II", blob[4:12])
     return version, json.loads(blob[12:12 + meta_len]), blob[12 + meta_len:]
+
+
+def src_lines(tree: str) -> int:
+    """Lines of the Python files under ``tree``'s ``src/``."""
+    total = 0
+    for folder, _, names in os.walk(os.path.join(tree, "src")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
 
 
 def json_diff(a, b, path: str = "") -> list[str]:
@@ -122,6 +135,8 @@ def main(argv=None) -> int:
                     subprocess.run([sys.executable, os.path.abspath(__file__),
                                     "--write", tree, workload, seed, dirs[side]], check=True)
                 same &= compare(dirs["parent"], dirs["change"], f"{workload} seed={seed}")
+        before, after = src_lines(parent_tree), src_lines(ROOT)
+        print(f"src/ lines: parent {before}, change {after}, difference {after - before:+d}")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     print("same outputs" if same else "OUTPUTS DIFFER")

@@ -224,17 +224,18 @@ def softmax(a, axis: int, mask: np.ndarray | None = None) -> Tensor:
     """Exp-normalize along ``axis`` with max-subtraction for stability,
     restricted to ``mask`` if given; all-False slices yield zeros.
 
-    No mask is an all-True one, which changes no bit: each exponential is
-    multiplied by 1.0 and each denominator is at least 1.
+    A masked-out entry enters as ``-inf``, so its exponential is +0.0.
     """
     a = as_tensor(a)
-    mask = np.ones(a.data.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if mask.shape != a.data.shape:
-        raise ShapeError(f"mask shape {mask.shape} != input shape {a.data.shape}")
-    neg = np.where(mask, a.data, -np.inf)
-    peak = neg.max(axis=axis, keepdims=True)
+    x = a.data
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != x.shape:
+            raise ShapeError(f"mask shape {mask.shape} != input shape {x.shape}")
+        x = np.where(mask, x, -np.inf)
+    peak = x.max(axis=axis, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
-    e = np.exp(a.data - peak) * mask
+    e = np.exp(x - peak)
     denom = e.sum(axis=axis, keepdims=True)
     out = e / np.where(denom == 0.0, 1.0, denom)
 

@@ -107,10 +107,12 @@ def _drop_retired_keys(path: str, version: int, config: dict) -> None:
     """Remove the config keys that later code retired.
 
     ``momentum`` and version 1's ``reset_banks_each_epoch`` only ever
-    affected training, so they go whatever their value.  ``leaky_slope``
-    (formats 1 and 2) and ``eval_writes`` (every format) shape what a model
-    computes, so each goes only at the one value this code uses: the slope
-    ``LEAKY_SLOPE``, and ``false``, banks written only in training.
+    affected training, and ``concept_capacity`` (every format) only
+    asserted a concept count, so they go whatever their value.
+    ``leaky_slope`` (formats 1 and 2) and ``eval_writes`` (every format)
+    shape what a model computes, so each goes only at the one value this
+    code uses: the slope ``LEAKY_SLOPE``, and ``false``, banks written only
+    in training.
     """
     train = config["train"] if isinstance(config.get("train"), dict) else {}
     if version < 3:
@@ -120,6 +122,7 @@ def _drop_retired_keys(path: str, version: int, config: dict) -> None:
     for section in (config.get("model"), train.get("model")):
         if not isinstance(section, dict):
             continue
+        section.pop("concept_capacity", None)
         if version < 3:
             slope = section.pop("leaky_slope", LEAKY_SLOPE)
             if slope != LEAKY_SLOPE:

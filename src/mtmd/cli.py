@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, eval, ablate, export-embeddings.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
+which a floating-point overflow or invalid operation in a command is too.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (SyntheticSpec, generate_synthetic, write_concepts_csv,
                    write_panel_csv, write_truth_csv)
 from .errors import ContractError, DataError, NumericError, ShapeError, UsageError
 from .harness import TrainConfig, evaluate, export_embeddings, run_ablation, train
+from .metrics import format_value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,14 +93,14 @@ def _cmd_train(args) -> None:
 
     def progress(record):
         mark = " *" if record.improved else ""
-        ic_text = "n/a" if record.valid_ic is None else f"{record.valid_ic:.4f}"
         print(f"epoch {record.epoch:3d}  loss {record.train_loss:.6f}  "
-              f"valid_ic {ic_text}{mark}", flush=True)
+              f"valid_ic {format_value(record.valid_ic)}{mark}", flush=True)
 
     ckpt, log = train(config, progress=progress)
     save_checkpoint(ckpt, args.checkpoint)
-    print(f"best epoch {log.best_epoch} (valid IC {log.best_valid_ic:.4f}); "
-          f"checkpoint -> {args.checkpoint}")
+    kept = "best" if log.best_epoch >= 0 else "no epoch had a valid IC; final"
+    print(f"{kept} epoch {ckpt.metrics['epoch']} (valid IC "
+          f"{format_value(ckpt.metrics['valid_ic'])}); checkpoint -> {args.checkpoint}")
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
             json.dump(log.to_dict(), fh, indent=2, sort_keys=True)
@@ -128,7 +132,7 @@ def _cmd_ablate(args) -> None:
         _check_output_path(args.out)
 
     def progress(code, seed, report):
-        print(f"[{code} seed={seed}] test IC {report.ic_mean:.4f}", flush=True)
+        print(f"[{code} seed={seed}] test IC {format_value(report.ic_mean)}", flush=True)
 
     result = run_ablation(config, seeds=seeds, progress=progress)
     print(result.table())
@@ -146,13 +150,14 @@ def _cmd_export(args) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        {
-            "gen-data": _cmd_gen_data,
-            "train": _cmd_train,
-            "eval": _cmd_eval,
-            "ablate": _cmd_ablate,
-            "export-embeddings": _cmd_export,
-        }[args.command](args)
+        with np.errstate(over="raise", invalid="raise"):
+            {
+                "gen-data": _cmd_gen_data,
+                "train": _cmd_train,
+                "eval": _cmd_eval,
+                "ablate": _cmd_ablate,
+                "export-embeddings": _cmd_export,
+            }[args.command](args)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -163,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # an output path that cannot be written
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, ContractError, ShapeError) as exc:
+    except (NumericError, ContractError, ShapeError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

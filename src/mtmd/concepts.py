@@ -79,17 +79,18 @@ def assign_hidden(residual: Tensor, concept_init: Tensor,
     """Group stocks by the most-similar concept, pruning predefined pairs.
 
     Returns the cosine score tensor (reused for the embedding weights),
-    the per-stock argmax column (ties resolved to the lowest index), and
-    the pruned membership mask for concept-side aggregation.
+    the one-hot argmax links per stock (ties resolved to the lowest index),
+    which are the hidden stage's link sets for local aggregation, and those
+    links less the predefined pairs, the membership for concept-side
+    aggregation.  A stock whose link was pruned from the membership still
+    aggregates from that concept, so no stock is left without links.
     """
     if concept_init.data.shape[0] < 1:
         raise ContractError("assign_hidden requires at least one concept")
     scores = ad.cosine_matrix(residual, concept_init)
-    chosen = np.argmax(scores.data, axis=1)
-    membership = np.zeros_like(np.asarray(predefined_mask, dtype=bool))
-    membership[np.arange(len(chosen)), chosen] = True
-    membership &= ~np.asarray(predefined_mask, dtype=bool)
-    return scores, chosen, membership
+    links = np.zeros(scores.data.shape, dtype=bool)
+    links[np.arange(len(links)), np.argmax(scores.data, axis=1)] = True
+    return scores, links, links & ~np.asarray(predefined_mask, dtype=bool)
 
 
 def hidden_embeddings(residual: Tensor, scores: Tensor, membership: np.ndarray,
@@ -139,13 +140,3 @@ def predefined_link_sets(member_mask: np.ndarray, empty_concepts: np.ndarray) ->
         mask[fallback] = ~np.asarray(empty_concepts, dtype=bool)
     return mask
 
-
-def hidden_link_sets(chosen: np.ndarray, n_concepts: int) -> np.ndarray:
-    """Per-stock link sets for the hidden stage: the pre-pruning argmax.
-
-    A stock whose assignment was pruned from the concept-side sets still
-    aggregates from that concept, so no stock is left without links.
-    """
-    mask = np.zeros((len(chosen), n_concepts), dtype=bool)
-    mask[np.arange(len(chosen)), chosen] = True
-    return mask

@@ -89,6 +89,9 @@ class FeaturePanel:
         for s in slices:
             if np.any(s.market_caps <= 0.0):
                 raise DataError(f"{s.date}: market caps must be positive")
+            with np.errstate(over="ignore"):  # the concept seeds divide by sums of caps
+                if not np.isfinite(s.market_caps.sum()):
+                    raise DataError(f"{s.date}: market caps must sum to a finite value")
             if not np.all(np.isfinite(s.features)):
                 raise DataError(f"{s.date}: non-finite feature values")
         self.slices = slices

@@ -127,10 +127,8 @@ def eval_traces(slices: list[DateSlice], graph: ConceptGraph, params: ModelParam
 
 def _mean_valid_ic(slices: list[DateSlice], graph: ConceptGraph, params: ModelParams,
                    banks: dict[str, MemoryBank], config: ModelConfig) -> float | None:
-    values = [mx.ic(trace.predictions.data, s.labels)
-              for s, trace in eval_traces(slices, graph, params, banks, config)]
-    values = [v for v in values if v is not None]
-    return float(np.mean(values)) if values else None
+    return mx.stats([mx.ic(trace.predictions.data, s.labels)
+                     for s, trace in eval_traces(slices, graph, params, banks, config)])[0]
 
 
 def _snapshot_tensors(params: ModelParams, banks: dict[str, MemoryBank]) -> dict[str, np.ndarray]:
@@ -286,12 +284,11 @@ def evaluate(ckpt: Checkpoint, split: str, panel: FeaturePanel | None = None,
 @dataclass
 class AblationRow:
     code: str
-    ic_mean: float
-    ic_std: float
-    rank_ic_mean: float
-    rank_ic_std: float
+    ic_mean: float | None
+    ic_std: float | None
+    rank_ic_mean: float | None
+    rank_ic_std: float | None
     precision_mean: dict[int, float]
-    seed_ics: list[float]
 
 
 @dataclass
@@ -304,13 +301,14 @@ class AblationResult:
                       "vs memory-free baseline 0.120, a +0.008 gap")
 
     def table(self) -> str:
+        fmt = mx.format_value
         lines = ["memory | IC (std) | Rank IC (std) | P@3 | P@5 | P@10 | P@30"]
         lines.append("-" * len(lines[0]))
         for row in self.rows:
             p = row.precision_mean
             lines.append(
-                f"{row.code:>6s} | {row.ic_mean:.4f} ({row.ic_std:.4f}) | "
-                f"{row.rank_ic_mean:.4f} ({row.rank_ic_std:.4f}) | "
+                f"{row.code:>6s} | {fmt(row.ic_mean)} ({fmt(row.ic_std)}) | "
+                f"{fmt(row.rank_ic_mean)} ({fmt(row.rank_ic_std)}) | "
                 f"{p[3]:5.2f} | {p[5]:5.2f} | {p[10]:5.2f} | {p[30]:5.2f}"
             )
         lines.append(self.REFERENCE_NOTE)
@@ -321,9 +319,10 @@ class AblationResult:
             fh.write("memory,ic_mean,ic_std,rank_ic_mean,rank_ic_std,p3,p5,p10,p30\n")
             for row in self.rows:
                 p = row.precision_mean
-                fh.write(f"{row.code},{row.ic_mean!r},{row.ic_std!r},"
-                         f"{row.rank_ic_mean!r},{row.rank_ic_std!r},"
-                         f"{p[3]!r},{p[5]!r},{p[10]!r},{p[30]!r}\n")
+                cells = [row.ic_mean, row.ic_std, row.rank_ic_mean, row.rank_ic_std,
+                         p[3], p[5], p[10], p[30]]
+                fh.write(",".join([row.code] + ["" if v is None else repr(v) for v in cells])
+                         + "\n")
 
 
 def run_ablation(config: TrainConfig, seeds: list[int] | None = None,
@@ -341,17 +340,13 @@ def run_ablation(config: TrainConfig, seeds: list[int] | None = None,
             reports.append(evaluate(ckpt, "test", panel=panel, graph=graph))
             if progress is not None:
                 progress(code, seed, reports[-1])
-        ics = [r.ic_mean for r in reports]
-        rank_ics = [r.rank_ic_mean for r in reports]
+        ic_mean, ic_std = mx.stats([r.ic_mean for r in reports])
+        rank_ic_mean, rank_ic_std = mx.stats([r.rank_ic_mean for r in reports])
         rows.append(AblationRow(
-            code=code,
-            ic_mean=float(np.mean(ics)),
-            ic_std=float(np.std(ics)),
-            rank_ic_mean=float(np.mean(rank_ics)),
-            rank_ic_std=float(np.std(rank_ics)),
-            precision_mean={n: float(np.mean([r.precision_mean[n] for r in reports]))
+            code=code, ic_mean=ic_mean, ic_std=ic_std,
+            rank_ic_mean=rank_ic_mean, rank_ic_std=rank_ic_std,
+            precision_mean={n: mx.stats([r.precision_mean[n] for r in reports])[0]
                             for n in mx.PRECISION_LEVELS},
-            seed_ics=[float(v) for v in ics],
         ))
     return AblationResult(rows=rows, seeds=seeds)
 

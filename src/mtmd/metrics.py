@@ -72,6 +72,20 @@ def precision_at_n(pred: np.ndarray, positive: np.ndarray, n: int) -> float:
     return 100.0 * float(positive[top].sum()) / take
 
 
+def stats(values: list[float | None]) -> tuple[float | None, float | None]:
+    """Mean and population std of the values that are not None, or two Nones."""
+    present = [v for v in values if v is not None]
+    if not present:
+        return None, None
+    arr = np.array(present, dtype=np.float64)
+    return float(arr.mean()), float(arr.std())
+
+
+def format_value(value: float | None, spec: str = ".4f") -> str:
+    """``value`` formatted by ``spec``, or ``n/a`` when it is None."""
+    return "n/a" if value is None else format(value, spec)
+
+
 @dataclass
 class DailyScore:
     date: str
@@ -125,15 +139,8 @@ def aggregate(daily: list[DailyScore]) -> MetricReport:
     """Arithmetic mean and population std per metric across dates."""
     if not daily:
         raise ContractError("aggregate requires at least one scored date")
-
-    def stats(values: list[float]) -> tuple[float | None, float | None]:
-        if not values:
-            return None, None
-        arr = np.array(values, dtype=np.float64)
-        return float(arr.mean()), float(arr.std())
-
-    ic_mean, ic_std = stats([d.ic for d in daily if d.ic is not None])
-    rk_mean, rk_std = stats([d.rank_ic for d in daily if d.rank_ic is not None])
+    ic_mean, ic_std = stats([d.ic for d in daily])
+    rk_mean, rk_std = stats([d.rank_ic for d in daily])
     p_mean, p_std = {}, {}
     for n in PRECISION_LEVELS:
         p_mean[n], p_std[n] = stats([d.precision[n] for d in daily])

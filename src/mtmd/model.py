@@ -33,7 +33,6 @@ ABLATION_CODES = {
 class ModelConfig(Config):
     embed_width: int = ranged(64, ">= 1")
     memory_items: int = ranged(16, ">= 1")
-    concept_capacity: int | None = ranged(None, ">= 1")
     memory_predefined: bool = True
     memory_hidden: bool = True
     seed: int = ranged(0, ">= 0")
@@ -99,6 +98,17 @@ class StageTrace:
     retrieval: RetrievalState | None = None
 
 
+def _concept_stage(inputs: Tensor, concepts: Tensor, links: np.ndarray, fc: cc.LinearMap,
+                   bank: MemoryBank | None) -> StageTrace:
+    """Aggregate each stock's linked concepts locally, then, given a bank,
+    refine the result by reading the bank globally."""
+    local, _ = cc.local_aggregate(inputs, concepts, links, fc)
+    if bank is None:
+        return StageTrace(inputs=inputs, local=local, refined=local)
+    retrieval = global_aggregate(local, Tensor(bank.items))
+    return StageTrace(inputs=inputs, local=local, refined=retrieval.refined, retrieval=retrieval)
+
+
 @dataclass
 class ForwardTrace:
     predefined: StageTrace
@@ -127,16 +137,10 @@ def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams
     n_stocks = date_slice.n_stocks
     if mask.shape[0] != n_stocks:
         raise ShapeError(f"concept mask rows {mask.shape[0]} != stocks {n_stocks}")
-    n_concepts = mask.shape[1]
-    if n_concepts == 0:
+    if mask.shape[1] == 0:
         raise ContractError("forward requires at least one concept")
     if not mask.any():
         raise DataError(f"date {date_slice.date} has no stock-concept links")
-    if config.concept_capacity is not None and n_concepts != config.concept_capacity:
-        raise DataError(
-            f"date {date_slice.date} has {n_concepts} concepts, config expects "
-            f"{config.concept_capacity}"
-        )
 
     if encoded is None:
         encoded = encode_panel(date_slice.features, params.encoder, buffers)
@@ -151,48 +155,33 @@ def forward(date_slice: DateSlice, concept_mask: np.ndarray, params: ModelParams
     # predefined stage
     concept_seed, empty = cc.init_predefined(encoded, mask, date_slice.market_caps)
     concepts_pre = cc.correct_predefined(encoded, concept_seed, params.predefined_correct)
-    links_pre = cc.predefined_link_sets(mask, empty)
-    local_pre, _ = cc.local_aggregate(encoded, concepts_pre, links_pre, params.predefined_local)
-    retrieval_pre = None
-    if config.memory_predefined:
-        retrieval_pre = global_aggregate(local_pre, Tensor(banks["predefined"].items))
-        refined_pre = retrieval_pre.refined
-    else:
-        refined_pre = local_pre
-    hidden_in = ad.subtract(encoded, refined_pre)
+    predefined = _concept_stage(encoded, concepts_pre, cc.predefined_link_sets(mask, empty),
+                                params.predefined_local,
+                                banks["predefined"] if config.memory_predefined else None)
+    hidden_in = ad.subtract(encoded, predefined.refined)
 
     # hidden stage
-    scores_hid, chosen, membership = cc.assign_hidden(hidden_in, concepts_pre, mask)
-    concepts_hid = cc.hidden_embeddings(hidden_in, scores_hid, membership, params.hidden_correct)
-    links_hid = cc.hidden_link_sets(chosen, n_concepts)
-    local_hid, _ = cc.local_aggregate(hidden_in, concepts_hid, links_hid, params.hidden_local)
-    retrieval_hid = None
-    if config.memory_hidden:
-        retrieval_hid = global_aggregate(local_hid, Tensor(banks["hidden"].items))
-        refined_hid = retrieval_hid.refined
-    else:
-        refined_hid = local_hid
-    individual_in = ad.subtract(hidden_in, refined_hid)
+    scores, links, membership = cc.assign_hidden(hidden_in, concepts_pre, mask)
+    concepts_hid = cc.hidden_embeddings(hidden_in, scores, membership, params.hidden_correct)
+    hidden = _concept_stage(hidden_in, concepts_hid, links, params.hidden_local,
+                            banks["hidden"] if config.memory_hidden else None)
+    individual_in = ad.subtract(hidden_in, hidden.refined)
 
     # individual stage
     local_ind = cc.individual_features(individual_in, params.individual)
 
     forecasts = [ad.leaky_relu(cc.affine(feat, params.forecast))
-                 for feat in (local_pre, local_hid, local_ind)]
+                 for feat in (predefined.local, hidden.local, local_ind)]
     combined = ad.add(ad.add(forecasts[0], forecasts[1]), forecasts[2])
     predictions = ad.reshape(cc.affine(combined, params.output), (n_stocks,))
 
     if mode == "train":
-        if retrieval_pre is not None:
-            memorize(local_pre, retrieval_pre.match_probs, banks["predefined"])
-        if retrieval_hid is not None:
-            memorize(local_hid, retrieval_hid.match_probs, banks["hidden"])
+        for stage, name in ((predefined, "predefined"), (hidden, "hidden")):
+            if stage.retrieval is not None:
+                memorize(stage.local, stage.retrieval.match_probs, banks[name])
 
     return ForwardTrace(
-        predefined=StageTrace(inputs=encoded, local=local_pre, refined=refined_pre,
-                              retrieval=retrieval_pre),
-        hidden=StageTrace(inputs=hidden_in, local=local_hid, refined=refined_hid,
-                          retrieval=retrieval_hid),
+        predefined=predefined, hidden=hidden,
         individual=StageTrace(inputs=individual_in, local=local_ind, refined=local_ind),
         predictions=predictions,
     )

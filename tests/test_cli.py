@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -149,7 +151,7 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("key, value", [("embed_width", 0), ("memory_items", 0),
                                             ("leaky_slope", float("nan")),  # retired: unknown
-                                            ("concept_capacity", 0)])
+                                            ("concept_capacity", 0)])  # retired: unknown
     def test_out_of_range_model_value_is_usage_error(self, config_path, tmp_path, capsys,
                                                      key, value):
         cfg = json.loads(config_path.read_text(encoding="utf-8"))
@@ -349,22 +351,27 @@ class TestFileBoundary:
         assert "epoch" not in out
         assert not ckpt.exists()
 
-    def test_failed_training_leaves_outputs_untouched(self, config_path, tmp_path, capsys):
+    def test_failed_training_leaves_outputs_untouched(self, data_dir, config_path, tmp_path,
+                                                      capsys):
+        # every link dated on the panel's last date, so forward fails on the
+        # first training date, which has none
+        panel, _ = load_panel(str(data_dir / "panel.csv"), str(data_dir / "concepts.csv"))
+        links = (data_dir / "concepts.csv").read_text(encoding="utf-8").splitlines()[1:]
+        concepts = tmp_path / "concepts.csv"
+        concepts.write_text("concept_id,stock_id,date\n"
+                            + "".join(f"{link},{panel.dates[-1]}\n" for link in links),
+                            encoding="utf-8")
         cfg = json.loads(config_path.read_text(encoding="utf-8"))
-        cfg["model"]["concept_capacity"] = 3  # forward fails on the first training date
+        cfg["concept_path"] = str(concepts)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         ckpt = tmp_path / "x.bin"
         ckpt.write_bytes(b"an earlier checkpoint")
         assert main(["train", "--config", str(path), "--checkpoint", str(ckpt),
                      "--log", str(tmp_path / "log.json")]) == 2
+        assert "has no stock-concept links" in capsys.readouterr().err
         assert ckpt.read_bytes() == b"an earlier checkpoint"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "x.bin"]
-
-    def test_concept_capacity_mismatch_is_data_error(self, config_path, tmp_path, capsys):
-        assert _train_with(config_path, tmp_path, model={"concept_capacity": 3}) == 2
-        err = capsys.readouterr().err
-        assert "data error" in err and "has 2 concepts, config expects 3" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "concepts.csv", "x.bin"]
 
 
 class TestAblate:
@@ -453,3 +460,137 @@ class TestFuzzedPanelRuns:
             assert "Traceback" not in err.getvalue()
             if code:  # nothing was trained to score
                 break
+
+
+def _run_recorded(argv):
+    """Exit code, stdout and stderr of ``main(argv)``, and every warning it
+    issued (recorded, so none is raised or printed)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def _write_market_variant(fuzz_market, folder, edit=None, **changes):
+    """The fuzz market's panel with ``edit`` applied to a copy of its data
+    rows, and its config with ``changes``; returns the config path."""
+    out, rows = fuzz_market
+    rows = [rows[0]] + [list(r) for r in rows[1:]]
+    if edit is not None:
+        edit(rows[1:])
+    panel = folder / "variant.csv"
+    with open(panel, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    cfg = json.loads((out / "cfg.json").read_text(encoding="utf-8"))
+    cfg.update(changes, panel_path=str(panel))
+    path = folder / "variant.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+class TestNoTestIc:
+    """With one stock no date has an IC, so no setting has a test IC."""
+
+    @pytest.fixture(scope="class")
+    def one_stock_config(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("one_stock")
+        spec = out / "spec.json"
+        spec.write_text(json.dumps({"n_stocks": 1, "n_concepts": 2, "n_dates": 75, "seed": 3}),
+                        encoding="utf-8")
+        assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 0
+        panel, _ = load_panel(str(out / "panel.csv"), str(out / "concepts.csv"))
+        train_end, valid_end = fraction_boundaries(panel)
+        cfg = {"panel_path": str(out / "panel.csv"), "concept_path": str(out / "concepts.csv"),
+               "learning_rate": 0.02, "epochs": 2, "seed": 4, "train_end": train_end,
+               "valid_end": valid_end, "model": {"embed_width": 4, "memory_items": 2}}
+        path = out / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        return path
+
+    def test_ablate_prints_na_and_writes_empty_cells(self, one_stock_config, tmp_path):
+        table = tmp_path / "ablation.csv"
+        code, out, err, caught = _run_recorded(["ablate", "--config", str(one_stock_config),
+                                                "--seeds", "1,2", "--out", str(table)])
+        assert (code, err, caught) == (0, "", [])
+        assert "[B seed=1] test IC n/a" in out
+        assert " B | n/a (n/a) | n/a (n/a) | " in out
+        rows = table.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[:5] for row in rows] == [[code, "", "", "", ""]
+                                                       for code in "BPHA"]
+
+    def test_train_says_checkpoint_holds_final_epoch(self, one_stock_config, tmp_path):
+        code, out, err, caught = _run_recorded(["train", "--config", str(one_stock_config),
+                                                "--checkpoint", str(tmp_path / "x.bin")])
+        assert (code, err, caught) == (0, "", [])
+        assert "no epoch had a valid IC; final epoch 1 (valid IC n/a); checkpoint -> " in out
+        assert "-inf" not in out
+
+
+def _huge_caps(rows):
+    for row in rows:
+        row[2] = "1e308"
+
+
+def _huge_features(rows):
+    big = repr(sys.float_info.max)
+    for row in rows:
+        row[4:] = [big if i % 2 else "-" + big for i in range(len(row) - 4)]
+
+
+class TestFloatingPointFailures:
+    """A floating-point overflow in a command is an error with an exit code,
+    never a warning."""
+
+    @pytest.mark.parametrize("edit, changes, code, message", [
+        (_huge_caps, {}, 2, "data error: {first_date}: market caps must sum to a finite value"),
+        (None, {"learning_rate": 1e3}, 3, "numeric failure: "),
+        (None, {"learning_rate": 1e300}, 3, "numeric failure: "),
+        (_huge_features, {}, 3, "numeric failure: overflow encountered in matmul"),
+    ], ids=["caps", "learning_rate-1e3", "learning_rate-1e300", "features"])
+    def test_exits_with_code_and_no_warning(self, fuzz_market, tmp_path, edit, changes, code,
+                                            message):
+        cfg = _write_market_variant(fuzz_market, tmp_path, edit, **changes)
+        got, _, err, caught = _run_recorded(["train", "--config", str(cfg),
+                                             "--checkpoint", str(tmp_path / "x.bin")])
+        assert (got, caught) == (code, [])
+        assert err.startswith(message.format(first_date=fuzz_market[1][1][0]))
+        assert "Warning" not in err
+
+
+class TestExtremeValueRuns:
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_train_eval_ablate_exit_0_2_or_3_without_warnings(self, fuzz_market, data):
+        out, rows = fuzz_market
+        stocks = sorted({row[1] for row in rows[1:]})
+        caps = dict(zip(stocks, data.draw(st.lists(
+            st.floats(5e-324, sys.float_info.max), min_size=len(stocks), max_size=len(stocks)),
+            label="caps")))
+        cells = data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 2),
+                                             st.integers(4, len(rows[0]) - 1),
+                                             st.floats(-sys.float_info.max,
+                                                       sys.float_info.max)), max_size=6),
+                          label="feature cells")
+
+        def edit(rows):
+            for row in rows:
+                row[2] = repr(caps[row[1]])
+            for line, column, value in cells:
+                rows[line][column] = repr(value)
+
+        rate = data.draw(st.floats(1e-3, 1e300), label="learning_rate")
+        cfg = _write_market_variant(fuzz_market, out, edit, learning_rate=rate)
+        ckpt = str(out / "extreme.bin")
+
+        def run(*argv):
+            code, _, err, caught = _run_recorded(list(argv))
+            assert code in (0, 2, 3), (argv[0], code, err)
+            assert caught == [] and "Warning" not in err, (argv[0], caught, err)
+            assert "Traceback" not in err
+            return code
+
+        if run("train", "--config", str(cfg), "--checkpoint", ckpt) == 0:
+            run("eval", "--checkpoint", ckpt, "--split", "test")
+        run("ablate", "--config", str(cfg))

@@ -82,23 +82,23 @@ class TestAssignHidden:
         residual = ad.Tensor([[1.0, 0.0]])
         concepts = ad.Tensor([[0.0, 1.0], [1.0, 0.1]])
         pre = np.array([[False, False]])
-        _, chosen, membership = cc.assign_hidden(residual, concepts, pre)
-        assert chosen.tolist() == [1]
+        _, links, membership = cc.assign_hidden(residual, concepts, pre)
+        assert links.tolist() == [[False, True]]
         assert membership.tolist() == [[False, True]]
 
     def test_predefined_pair_pruned(self):
         residual = ad.Tensor([[1.0, 0.0]])
         concepts = ad.Tensor([[0.0, 1.0], [1.0, 0.1]])
         pre = np.array([[False, True]])
-        _, chosen, membership = cc.assign_hidden(residual, concepts, pre)
-        assert chosen.tolist() == [1]
+        _, links, membership = cc.assign_hidden(residual, concepts, pre)
+        assert links.tolist() == [[False, True]]
         assert membership.tolist() == [[False, False]]
 
     def test_tie_takes_lowest_index(self):
         residual = ad.Tensor([[1.0, 1.0]])
         concepts = ad.Tensor([[2.0, 2.0], [0.0, 1.0], [1.0, 1.0]])
-        _, chosen, _ = cc.assign_hidden(residual, concepts, np.zeros((1, 3), dtype=bool))
-        assert chosen.tolist() == [0]
+        _, links, _ = cc.assign_hidden(residual, concepts, np.zeros((1, 3), dtype=bool))
+        assert links.tolist() == [[True, False, False]]
 
     def test_scale_invariance_of_assignment(self):
         rng = np.random.default_rng(4)
@@ -116,18 +116,17 @@ class TestAssignHidden:
         residual = ad.Tensor(rng.normal(size=(6, 3)))
         concepts = ad.Tensor(rng.normal(size=(4, 3)))
         pre = rng.random((6, 4)) < 0.4
-        _, chosen, membership = cc.assign_hidden(residual, concepts, pre)
-        onehot = cc.hidden_link_sets(chosen, 4)
-        assert onehot.sum(axis=1).tolist() == [1] * 6
-        # pruned membership is a subset of the pre-pruning assignment
-        assert not np.any(membership & ~onehot)
+        _, links, membership = cc.assign_hidden(residual, concepts, pre)
+        assert links.sum(axis=1).tolist() == [1] * 6
+        # pruned membership is the pre-pruning assignment less the predefined pairs
+        assert np.array_equal(membership, links & ~pre)
 
 
 class TestHiddenEmbeddings:
     def test_single_parallel_member(self):
         residual = ad.Tensor([[2.0, 0.0]])
         concepts = ad.Tensor([[1.0, 0.0]])
-        scores, chosen, membership = cc.assign_hidden(residual, concepts, np.zeros((1, 1), dtype=bool))
+        scores, _, membership = cc.assign_hidden(residual, concepts, np.zeros((1, 1), dtype=bool))
         assert scores.data[0, 0] == pytest.approx(1.0)
         rng = np.random.default_rng(6)
         fc = cc.init_linear(rng, 2, 2, "hid")
@@ -265,9 +264,9 @@ class TestGradients:
             h = ad.Tensor(vals["h"], requires_grad=True, name="h")
             fc = cc.LinearMap(ad.Tensor(vals["w"], requires_grad=True, name="w"),
                               ad.Tensor(vals["b"], requires_grad=True, name="b"))
-            scores, chosen, membership = cc.assign_hidden(h, ad.Tensor(concept_init), pre)
+            scores, links, membership = cc.assign_hidden(h, ad.Tensor(concept_init), pre)
             emb = cc.hidden_embeddings(h, scores, membership, fc)
-            fused, _ = cc.local_aggregate(h, emb, cc.hidden_link_sets(chosen, n_c), fc)
+            fused, _ = cc.local_aggregate(h, emb, links, fc)
             return ad.reduce_sum(ad.multiply(fused, fused))
 
         analytic = ad.backward(run(values))

@@ -30,7 +30,6 @@ ENDS = {
     (TrainConfig, "seed"): ([0], [-1]),
     (ModelConfig, "embed_width"): ([1], [0]),
     (ModelConfig, "memory_items"): ([1], [0]),
-    (ModelConfig, "concept_capacity"): ([1, None], [0]),
     (ModelConfig, "seed"): ([0], [-1]),
     (SyntheticSpec, "n_stocks"): ([1], [0]),
     (SyntheticSpec, "n_concepts"): ([1], [0]),

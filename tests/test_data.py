@@ -234,8 +234,8 @@ class TestLoadPanelValidation:
             md.load_panel(ppath, cpath)
 
     def test_concept_link_on_no_panel_date_rejected(self, tmp_path):
-        # such a link is never used, yet its concept would count against
-        # concept_capacity
+        # such a link is never used, yet its concept would add a column to
+        # every date's mask
         ppath = _write(tmp_path / "p.csv", tiny_panel_text([
             "2020-01-01,A,1.0,100.0", "2020-01-02,A,1.0,101.0"]))
         cpath = _write(tmp_path / "c.csv",

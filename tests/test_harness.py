@@ -544,6 +544,28 @@ class TestRetiredEvalWrites:
         assert "data error" in err and "eval_writes true" in err
 
 
+class TestRetiredConceptCapacity:
+    """``ModelConfig.concept_capacity`` is retired: it only asserted a
+    concept count.  A file of any format that stores it, at any value,
+    loads without it and scores the same bytes."""
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("value", [None, 3, 5])
+    def test_any_value_is_dropped(self, market, tmp_path, version, value):
+        def edit(config):
+            for section in (config["model"], config["train"]["model"]):
+                section["concept_capacity"] = value
+
+        panel, graph = market
+        path = TestRetiredEvalWrites.file_with(version, tmp_path, edit)
+        ckpt = load_checkpoint(str(path))
+        assert "concept_capacity" not in ckpt.config["model"]
+        assert "concept_capacity" not in ckpt.config["train"]["model"]
+        report = tmp_path / "eval.csv"
+        evaluate(ckpt, "test", panel=panel, graph=graph).to_csv(str(report))
+        assert report.read_bytes() == (FIXTURES / "v1_width2_eval_test.csv").read_bytes()
+
+
 def test_date_without_concept_links_is_data_error(market, small_config):
     panel, graph = market
     dropped = panel.usable_dates[1]

@@ -179,12 +179,6 @@ class TestForward:
         with pytest.raises(ContractError, match="concept"):
             mm.forward(tiny_slice(rng), np.zeros((6, 0), dtype=bool), params, banks, SMALL)
 
-    def test_concept_capacity_checked(self):
-        config = mm.ModelConfig(embed_width=4, memory_items=2, concept_capacity=5, seed=0)
-        rng, params, banks = build(config)
-        with pytest.raises(DataError, match="config expects 5"):
-            mm.forward(tiny_slice(rng), tiny_mask(rng), params, banks, config)
-
     def test_residual_fuzz_on_synthetic_market(self):
         spec = SyntheticSpec(n_stocks=5, n_concepts=3, n_dates=75, seed=21)
         panel, graph, _ = generate_synthetic(spec)
